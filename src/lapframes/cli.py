@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 from pathlib import Path
 
 import numpy as np
 
-from .erasure import worst_radius
+from .erasure import MAX_SETS, worst_radius
 from .frames import (
     DualParams,
     Frame,
@@ -123,6 +124,9 @@ def cmd_rho(args) -> int:
     frame = _load_frame(args.file)
     if not 1 <= args.r < frame.n:
         raise InputError(f"-r must be in [1, {frame.n - 1}] for this graph, got {args.r}")
+    total = comb(frame.n, args.r)
+    if total > MAX_SETS:
+        raise InputError(f"C({frame.n}, {args.r}) = {total} exceeds the enumeration cap {MAX_SETS}")
     dual = dual_from_params(frame, _load_params(args.params, frame)) if args.params \
         else canonical_dual(frame)
     result = worst_radius(frame, dual, args.r)

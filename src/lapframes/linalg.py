@@ -1,13 +1,12 @@
-"""Dense eigenvalue kernels for small matrices.
+"""Dense eigenvalue kernels for small matrices, on LAPACK via ``numpy.linalg``.
 
-Three routes, sized for matrices of order a few hundred at most:
-
-* ``symmetric_eig`` -- cyclic Jacobi rotations for real symmetric input,
-  with a structural zero count (clamped exactly) cross-checked against a
-  magnitude threshold.
-* ``small_complex_eigenvalues`` -- closed-form quadratic for order <= 2,
-  Hessenberg reduction plus Wilkinson-shifted QR iteration with deflation
-  for order >= 3.
+* ``symmetric_eig`` -- ``eigh`` for real symmetric input, with a structural
+  zero count (clamped exactly) cross-checked against a magnitude threshold,
+  fixed order and signs, and residuals checked against a tolerance.
+* ``hermitian_eigenvalues`` -- ``eigvalsh``, descending.
+* ``small_complex_eigenvalues`` -- closed-form quadratic for order <= 2 (cheaper
+  per call than LAPACK at that size); ``eigvals`` for order >= 3, each root
+  checked against the characteristic polynomial.
 * ``spectral_radius`` -- max eigenvalue magnitude via the route above.
 
 All kernels are pure functions of their inputs and deterministic.
@@ -25,7 +24,7 @@ SYMMETRY_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative eigenvalue computation exhausted its iteration budget."""
+    """An eigenvalue computation failed or its result failed a residual check."""
 
 
 @dataclass(frozen=True)
@@ -39,44 +38,6 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray
     zero_count: int
-
-
-def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization. Returns (eigenvalues, eigenvectors)."""
-    n = a.shape[0]
-    h = a.astype(float, copy=True)
-    v = np.eye(n)
-    if n < 2:
-        return np.diag(h).copy(), v
-    scale = max(float(np.max(np.abs(h))), 1.0)
-    for _ in range(max_sweeps):
-        off = np.max(np.abs(h - np.diag(np.diag(h))))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                hpq = h[p, q]
-                if abs(hpq) <= 1e-18 * scale:
-                    continue
-                tau = (h[q, q] - h[p, p]) / (2.0 * hpq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = h[:, p].copy(), h[:, q].copy()
-                h[:, p] = c * col_p - s * col_q
-                h[:, q] = s * col_p + c * col_q
-                row_p, row_q = h[p, :].copy(), h[q, :].copy()
-                h[p, :] = c * row_p - s * row_q
-                h[q, :] = s * row_p + c * row_q
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    return np.diag(h).copy(), v
 
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
@@ -95,7 +56,6 @@ def symmetric_eig(
     *,
     eig_tol: float = EIG_TOL,
     zero_tol: float = ZERO_TOL,
-    max_sweeps: int = 60,
 ) -> EigenDecomposition:
     """Eigendecompose a real symmetric matrix with a known kernel dimension.
 
@@ -119,7 +79,10 @@ def symmetric_eig(
     if n > 0 and np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within 1e-12")
 
-    values, vectors = _jacobi(a, max_sweeps)
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh failed on order {n}: {exc}") from exc
 
     by_magnitude = np.argsort(np.abs(values), kind="stable")
     zero_idx = by_magnitude[:expected_zero_count]
@@ -129,13 +92,11 @@ def symmetric_eig(
             raise ValueError(
                 f"eigenvalue {values[i]:.3e} expected to be zero has magnitude >= {zero_tol:g}"
             )
-    for i in rest_idx:
-        if abs(values[i]) < zero_tol:
-            raise ValueError(
-                f"found more near-zero eigenvalues than the expected {expected_zero_count}"
-            )
-    values = values.copy()
-    values[zero_idx] = 0.0
+    if rest_idx.size and abs(values[rest_idx[0]]) < zero_tol:
+        raise ValueError(
+            f"found more near-zero eigenvalues than the expected {expected_zero_count}"
+        )
+    values[zero_idx] = 0.0  # eigh returned a fresh array
 
     nonzero_order = rest_idx[np.argsort(-values[rest_idx], kind="stable")]
     order = np.concatenate([nonzero_order, np.sort(zero_idx)]).astype(int)
@@ -147,29 +108,20 @@ def symmetric_eig(
     orth_res = float(np.max(np.abs(vectors.T @ vectors - np.eye(n)))) if n else 0.0
     if recon_res > eig_tol or orth_res > eig_tol:
         raise ConvergenceError(
-            f"Jacobi residuals above {eig_tol:g}: reconstruction {recon_res:.3e}, "
+            f"eigendecomposition residuals above {eig_tol:g}: reconstruction {recon_res:.3e}, "
             f"orthonormality {orth_res:.3e}"
         )
     return EigenDecomposition(values, vectors, expected_zero_count)
 
 
-def hermitian_eigenvalues(a, *, eig_tol: float = EIG_TOL, max_sweeps: int = 60) -> np.ndarray:
-    """Real eigenvalues of a complex Hermitian matrix, descending.
-
-    Runs the real Jacobi kernel on the 2k x 2k symmetric embedding
-    [[Re A, -Im A], [Im A, Re A]], whose spectrum is that of A doubled.
-    """
+def hermitian_eigenvalues(a) -> np.ndarray:
+    """Real eigenvalues of a complex Hermitian matrix, descending."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.size and np.max(np.abs(a - a.conj().T)) > SYMMETRY_TOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
-    x, y = a.real, a.imag
-    embed = np.block([[x, -y], [y, x]])
-    embed = 0.5 * (embed + embed.T)
-    values, _ = _jacobi(embed, max_sweeps)
-    values = np.sort(values)[::-1]
-    return values[0::2].copy()  # eigenvalues come in duplicated pairs
+    return np.linalg.eigvalsh(a)[::-1]
 
 
 def _eig_2x2(a: np.ndarray) -> np.ndarray:
@@ -187,81 +139,13 @@ def _eig_2x2(a: np.ndarray) -> np.ndarray:
     return np.array([lam1, lam2], dtype=complex)
 
 
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Reduce to upper Hessenberg form by Householder similarity."""
-    h = a.astype(complex, copy=True)
-    n = h.shape[0]
-    for j in range(n - 2):
-        x = h[j + 1:, j]
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            continue
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        v = x.copy()
-        v[0] += phase * norm
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        h[j + 1:, j:] -= 2.0 * np.outer(v, v.conj() @ h[j + 1:, j:])
-        h[:, j + 1:] -= 2.0 * np.outer(h[:, j + 1:] @ v, v.conj())
-        h[j + 2:, j] = 0.0
-    return h
-
-
-def _qr_shift_step(h: np.ndarray, lo: int, hi: int, sigma: complex) -> None:
-    """One explicit shifted QR step on the Hessenberg block h[lo:hi+1]."""
-    size = hi - lo + 1
-    b = h[lo:hi + 1, lo:hi + 1] - sigma * np.eye(size)
-    rotations = []
-    for i in range(size - 1):
-        x, y = b[i, i], b[i + 1, i]
-        den = np.hypot(abs(x), abs(y))
-        if den == 0.0:
-            c, s = 1.0 + 0.0j, 0.0 + 0.0j
-        else:
-            c, s = x / den, y / den
-        rotations.append((c, s))
-        row_i, row_j = b[i, i:].copy(), b[i + 1, i:].copy()
-        b[i, i:] = np.conj(c) * row_i + np.conj(s) * row_j
-        b[i + 1, i:] = -s * row_i + c * row_j
-    for i, (c, s) in enumerate(rotations):
-        col_i, col_j = b[: i + 2, i].copy(), b[: i + 2, i + 1].copy()
-        b[: i + 2, i] = col_i * c + col_j * s
-        b[: i + 2, i + 1] = -col_i * np.conj(s) + col_j * np.conj(c)
-    b += sigma * np.eye(size)
-    h[lo:hi + 1, lo:hi + 1] = b
-
-
-def _det(a: np.ndarray) -> complex:
-    """Determinant by LU with partial pivoting (complex)."""
-    m = a.astype(complex, copy=True)
-    n = m.shape[0]
-    det = 1.0 + 0.0j
-    for j in range(n):
-        pivot = j + int(np.argmax(np.abs(m[j:, j])))
-        if m[pivot, j] == 0:
-            return 0.0 + 0.0j
-        if pivot != j:
-            m[[j, pivot], :] = m[[pivot, j], :]
-            det = -det
-        det *= m[j, j]
-        m[j + 1:, j:] -= np.outer(m[j + 1:, j] / m[j, j], m[j, j:])
-    return det
-
-
-def small_complex_eigenvalues(
-    a,
-    *,
-    eig_tol: float = EIG_TOL,
-    max_steps_per_value: int = 120,
-) -> np.ndarray:
+def small_complex_eigenvalues(a, *, eig_tol: float = EIG_TOL) -> np.ndarray:
     """All eigenvalues (with multiplicity) of a small complex matrix.
 
-    Order <= 2 uses the closed-form quadratic; order >= 3 runs shifted QR
-    with deflation and then validates each root against the characteristic
-    polynomial, with the residual scaled by (||A||_F + |root| + 1)^r so the
-    check is meaningful across magnitudes.
+    Order <= 2 uses the closed-form quadratic; order >= 3 uses LAPACK and
+    then validates each root against the characteristic polynomial, with the
+    residual scaled by (||A||_F + |root| + 1)^r so the check is meaningful
+    across magnitudes.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -276,55 +160,18 @@ def small_complex_eigenvalues(
     if r == 2:
         return _eig_2x2(a)
 
-    h = _hessenberg(a)
-    hnorm = float(np.linalg.norm(h)) or 1.0
-    eigs: list[complex] = []
-    hi = r - 1
-    budget = max_steps_per_value * r
-    steps = 0
-    since_deflation = 0
-    while hi >= 0:
-        if hi == 0:
-            eigs.append(h[0, 0])
-            break
-        lo = hi
-        while lo > 0:
-            sub = abs(h[lo, lo - 1])
-            if sub <= 1e-14 * (abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])) + 1e-16 * hnorm:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eigs.append(h[hi, hi])
-            hi -= 1
-            since_deflation = 0
-            continue
-        if lo == hi - 1:
-            eigs.extend(_eig_2x2(h[lo:hi + 1, lo:hi + 1]))
-            hi = lo - 1
-            since_deflation = 0
-            continue
-        steps += 1
-        since_deflation += 1
-        if steps > budget:
-            raise ConvergenceError(
-                f"QR iteration failed to converge within {budget} steps on order {r}"
-            )
-        if since_deflation % 16 == 0:
-            sigma = h[hi, hi] + 0.75 * abs(h[hi, hi - 1])  # exceptional shift
-        else:
-            trailing = _eig_2x2(h[hi - 1:hi + 1, hi - 1:hi + 1])
-            sigma = min(trailing, key=lambda lam: abs(lam - h[hi, hi]))
-        _qr_shift_step(h, lo, hi, sigma)
-
-    result = np.array(eigs, dtype=complex)
-    for lam in result:
-        scale = (hnorm + abs(lam) + 1.0) ** r
-        if abs(_det(a - lam * np.eye(r))) > eig_tol * scale:
-            raise ConvergenceError(
-                f"characteristic polynomial residual above {eig_tol:g} at root {lam}"
-            )
-    return result
+    try:
+        eigs = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigvals failed on order {r}: {exc}") from exc
+    residuals = np.abs(np.linalg.det(a[None] - eigs[:, None, None] * np.eye(r)))
+    scales = (float(np.linalg.norm(a)) + np.abs(eigs) + 1.0) ** r
+    bad = np.flatnonzero(residuals > eig_tol * scales)
+    if bad.size:
+        raise ConvergenceError(
+            f"characteristic polynomial residual above {eig_tol:g} at root {eigs[bad[0]]}"
+        )
+    return eigs
 
 
 def spectral_radius(a, *, eig_tol: float = EIG_TOL) -> float:

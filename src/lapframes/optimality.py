@@ -358,6 +358,7 @@ def verify_order(
                 _detail(f"component {j + 1} pairings equal {s - 1}/{s}", 0.0, worst, tol)
             )
     else:
+        by_pair = {rep.lam.indices: rep for rep in result.reports}
         for j, s in enumerate(sizes):
             if s < 2:
                 continue
@@ -366,9 +367,7 @@ def verify_order(
             worst = 0.0
             for a in range(lo, lo + s):
                 for b in range(a + 1, lo + s):
-                    rep = next(
-                        rep for rep in result.reports if rep.lam.indices == (a + 1, b + 1)
-                    )
+                    rep = by_pair[(a + 1, b + 1)]
                     got = np.sort(rep.eigenvalues[:2].real)[::-1]
                     worst = max(worst, float(np.max(np.abs(got - expect))))
             details.append(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lapframes import reproduce
 from lapframes.cli import main
 
 from conftest import EDGE_TEXT, K3K2_TEXT
@@ -100,6 +101,17 @@ def test_rho_invalid_r(capsys, k3k2_file):
     assert code == 2 and "-r must be in" in err
 
 
+def test_rho_over_enumeration_cap_exits_2(capsys, tmp_path):
+    # a 60-vertex path: C(60, 5) = 5 461 512 erasure sets
+    path = tmp_path / "path60.el"
+    path.write_text("n 60\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 60)))
+    code, out, err = run(capsys, "rho", str(path), "-r", "5")
+    assert code == 2
+    assert out == ""
+    assert "C(60, 5) = 5461512 exceeds the enumeration cap 1000000" in err
+    assert "Traceback" not in err
+
+
 def test_dual_canonical_and_params(capsys, k3k2_file, psi1_params_file):
     code, out, _ = run(capsys, "dual", k3k2_file)
     doc = json.loads(out)
@@ -170,10 +182,17 @@ def test_reproduce_json(capsys):
     assert len(doc["checks"]) >= 15
 
 
-def test_reproduce_tight_tolerance_fails(capsys):
-    code, out, _ = run(capsys, "reproduce", "--tol", "1e-15", "--json")
+def test_reproduce_perturbed_reference_fails(capsys, monkeypatch):
+    # a correct program must fail the one check whose frozen value is wrong
+    wrong = reproduce.EXPECTED_CANONICAL_VECTORS.copy()
+    wrong[0, 0] += 1e-6
+    monkeypatch.setattr(reproduce, "EXPECTED_CANONICAL_VECTORS", wrong)
+    code, out, _ = run(capsys, "reproduce", "--json")
+    doc = json.loads(out)
     assert code == 1
-    assert not json.loads(out)["all_pass"]
+    assert not doc["all_pass"]
+    failed = [c["name"] for c in doc["checks"] if not c["pass"]]
+    assert failed == ["explicit: canonical dual matches the reference vectors"]
 
 
 def test_output_flag_and_determinism(capsys, tmp_path, k3k2_file):

@@ -6,6 +6,7 @@ import pytest
 from lapframes import (
     DualFrame,
     DualParams,
+    Graph,
     apply_unitary,
     canonical_dual,
     components,
@@ -216,20 +217,33 @@ def test_frame_operator_diagonal_with_laplacian_spectrum():
 
 
 def test_canonical_pairings_equal_one_minus_inverse_size():
+    # The canonical cross-Gramian is blockdiag(I - J/n_j) whichever eigenbasis
+    # the solver returns, so graphs with repeated Laplacian eigenvalues
+    # (complete, cycle, star, K3+K2) check it independently of the solver.
     rng = np.random.default_rng(37)
-    done = 0
-    while done < 30:
+    graphs = [parse_edge_list(K3K2_TEXT)]
+    for n in (3, 12, 40):
+        graphs.append(Graph(n, frozenset((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))))
+    for n in (4, 9, 40):
+        graphs.append(Graph(n, frozenset((i, i + 1) for i in range(1, n)) | {(1, n)}))
+    for n in (5, 40):
+        graphs.append(Graph(n, frozenset((1, v) for v in range(2, n + 1))))
+    # a singleton component last, then first
+    sparse = random_graph(39, rng, p=0.3)
+    graphs.append(Graph(40, sparse.edges))
+    graphs.append(Graph(40, frozenset((u + 1, v + 1) for u, v in sparse.edges)))
+    while len(graphs) < 41:
         g = random_graph(int(rng.integers(2, 10)), rng)
-        if g.edge_count == 0:
-            continue
+        if g.edge_count > 0:
+            graphs.append(g)
+    for g in graphs:
         f = frame_from_graph(g)
-        dual = canonical_dual(f)
-        pairings = np.sum(f.synthesis.conj() * dual.vectors, axis=0)
+        cross = f.synthesis.conj().T @ canonical_dual(f).vectors
+        expected = np.zeros((f.n, f.n))
         for j, size in enumerate(f.layout.sizes):
             lo, hi = f.layout.offsets[j], f.layout.offsets[j + 1]
-            expected = 1.0 - 1.0 / size
-            assert np.max(np.abs(pairings[lo:hi] - expected)) <= 1e-9
-        done += 1
+            expected[lo:hi, lo:hi] = np.eye(size) - 1.0 / size
+        assert np.max(np.abs(cross - expected)) <= 1e-9, g
 
 
 def test_json_round_trip_is_lossless(k3k2_frame, k3k2_canonical):

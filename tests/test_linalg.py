@@ -129,11 +129,27 @@ def test_small_eigenvalues_rejects_nonfinite():
         small_complex_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-def test_small_eigenvalues_budget_exhaustion():
-    rng = np.random.default_rng(13)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    with pytest.raises(ConvergenceError, match="failed to converge"):
-        small_complex_eigenvalues(a, max_steps_per_value=0)
+def test_lapack_failure_raises_convergence_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(ConvergenceError, match="eigh failed"):
+        symmetric_eig(L_K3, expected_zero_count=1)
+    with pytest.raises(ConvergenceError, match="eigvals failed"):
+        small_complex_eigenvalues(L_K3)
+
+
+def test_inaccurate_lapack_answers_fail_residual_checks(monkeypatch):
+    values, vectors = np.linalg.eigh(L_K3)
+    roots = np.linalg.eigvals(L_K3.astype(complex))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (values.copy(), vectors + 1e-6))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: roots + 1e-3)
+    with pytest.raises(ConvergenceError, match="residuals above"):
+        symmetric_eig(L_K3, expected_zero_count=1)
+    with pytest.raises(ConvergenceError, match="characteristic polynomial"):
+        small_complex_eigenvalues(L_K3)
 
 
 def test_spectral_radius_reference_values():
