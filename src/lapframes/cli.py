@@ -3,7 +3,7 @@
 Subcommands: build, dual, rho, verify, search, reproduce. All reports are
 JSON on standard output (or --output <path>) with a top-level schema field.
 Exit codes: 0 success or all checks passed, 1 a verification check failed,
-2 usage or input error.
+2 usage or input error, or more erasure sets than the enumeration cap.
 """
 
 from __future__ import annotations
@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
 from pathlib import Path
 
 import numpy as np
 
-from .erasure import MAX_SETS, worst_radius
+from .erasure import EnumerationCapError, erasure_reports, worst_radius
 from .frames import (
     DualParams,
     Frame,
@@ -124,9 +123,6 @@ def cmd_rho(args) -> int:
     frame = _load_frame(args.file)
     if not 1 <= args.r < frame.n:
         raise InputError(f"-r must be in [1, {frame.n - 1}] for this graph, got {args.r}")
-    total = comb(frame.n, args.r)
-    if total > MAX_SETS:
-        raise InputError(f"C({frame.n}, {args.r}) = {total} exceeds the enumeration cap {MAX_SETS}")
     dual = dual_from_params(frame, _load_params(args.params, frame)) if args.params \
         else canonical_dual(frame)
     result = worst_radius(frame, dual, args.r)
@@ -138,7 +134,7 @@ def cmd_rho(args) -> int:
         "witness": list(result.witness.indices),
     }
     if args.verbose:
-        payload["reports"] = [rep.to_doc() for rep in result.reports]
+        payload["reports"] = [rep.to_doc() for rep in erasure_reports(frame, dual, args.r)]
     _emit(payload, args.output)
     return 0
 
@@ -273,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,26 +1,31 @@
 """Erasure error operators and worst-case spectral radii.
 
-For an erasure set the error operator is the k x k map assembled from the
-erased dual and frame columns. Its nonzero spectrum equals that of the
-small r x r matrix of pairwise inner products between the erased frame and
-dual vectors, so radii are always computed on the reduced matrix; the full
-operator is kept around as a test oracle.
+An erasure set L's error operator is the k x k map assembled from the erased
+dual and frame columns. Its nonzero spectrum is that of the r x r principal
+submatrix C[L, L] of the cross-Gramian C = Phi^H Psi, so all radii come from
+one C, in stacks of CHUNK_SETS submatrices. ``error_operator`` and
+``reduced_error_matrix`` build one set's matrices directly, as test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
 from .frames import DUAL_TOL, DualFrame, Frame, is_dual
-from .linalg import EIG_TOL, small_complex_eigenvalues
+from .linalg import small_complex_eigenvalues
 
 TIE_TOL = 1e-10
 MAX_SETS = 10**6
+CHUNK_SETS = 4096  # principal submatrices per stacked eigenvalue call
+
+
+class EnumerationCapError(ValueError):
+    """C(n, r) erasure sets exceed MAX_SETS."""
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,6 @@ class ErasureReport:
     """
 
     lam: ErasureSet
-    full_operator: np.ndarray
     reduced: np.ndarray
     eigenvalues: np.ndarray
     radius: float
@@ -71,7 +75,6 @@ class ErasureReport:
 class RhoResult(NamedTuple):
     radius: float
     witness: ErasureSet
-    reports: list[ErasureReport]
 
 
 def _check_lam(f: Frame, lam: ErasureSet) -> np.ndarray:
@@ -101,54 +104,58 @@ def reduced_error_matrix(f: Frame, d: DualFrame, lam: ErasureSet, *, dual_tol: f
     return f.synthesis[:, cols].conj().T @ d.vectors[:, cols]
 
 
-def _report(f: Frame, d: DualFrame, cols: np.ndarray, *, eig_tol: float) -> ErasureReport:
-    phi = f.synthesis[:, cols]
-    psi = d.vectors[:, cols]
-    reduced = phi.conj().T @ psi
-    eigs = small_complex_eigenvalues(reduced, eig_tol=eig_tol)
-    radius = float(np.max(np.abs(eigs)))
-    k, r = f.k, len(cols)
-    by_mag = eigs[np.argsort(-np.abs(eigs), kind="stable")]
-    if r < k:
-        spectrum = np.concatenate([by_mag, np.zeros(k - r, dtype=complex)])
-    else:
-        spectrum = by_mag[:k]
-    lam = ErasureSet(tuple(int(c) + 1 for c in cols))
-    return ErasureReport(lam, psi @ phi.conj().T, reduced, spectrum, radius)
+def _erasure_sets(n: int, r: int) -> np.ndarray:
+    """All C(n, r) sets as rows of 0-based indices, in lexicographic order."""
+    if not 1 <= r < n:
+        raise ValueError(f"erasure size r={r} outside [1, {n - 1}]")
+    total = comb(n, r)
+    if total > MAX_SETS:
+        raise EnumerationCapError(f"C({n}, {r}) = {total} exceeds the enumeration cap {MAX_SETS}")
+    flat = chain.from_iterable(combinations(range(n), r))
+    return np.fromiter(flat, dtype=np.intp, count=total * r).reshape(total, r)
 
 
-def erasure_report(f: Frame, d: DualFrame, lam: ErasureSet, *, dual_tol: float = DUAL_TOL,
-                   eig_tol: float = EIG_TOL) -> ErasureReport:
-    _require_dual(f, d, dual_tol)
-    return _report(f, d, _check_lam(f, lam), eig_tol=eig_tol)
+def set_spectra(f: Frame, d: DualFrame, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-Gramian C = Phi^H Psi of a checked dual pair, and the r eigenvalues
+    of C[s, s] for each row s of 0-based ``sets``, CHUNK_SETS rows at a time."""
+    _require_dual(f, d, DUAL_TOL)
+    c = f.synthesis.conj().T @ d.vectors
+    out = np.empty(sets.shape, dtype=complex)
+    for start in range(0, len(sets), CHUNK_SETS):
+        idx = sets[start:start + CHUNK_SETS]
+        out[start:start + len(idx)] = small_complex_eigenvalues(c[idx[:, :, None], idx[:, None, :]])
+    return c, out
 
 
-def worst_radius(
-    f: Frame,
-    d: DualFrame,
-    r: int,
-    *,
-    dual_tol: float = DUAL_TOL,
-    eig_tol: float = EIG_TOL,
-    tie_tol: float = TIE_TOL,
-    max_sets: int = MAX_SETS,
-) -> RhoResult:
+def _reports(f: Frame, d: DualFrame, sets: np.ndarray) -> list[ErasureReport]:
+    c, spectra = set_spectra(f, d, sets)
+    reports = []
+    for cols, eigs in zip(sets, spectra):
+        by_mag = eigs[np.argsort(-np.abs(eigs), kind="stable")]
+        spectrum = np.concatenate([by_mag, np.zeros(f.k, dtype=complex)])[:f.k]
+        lam = ErasureSet(tuple(int(i) + 1 for i in cols))
+        reports.append(ErasureReport(lam, c[np.ix_(cols, cols)], spectrum, float(np.max(np.abs(eigs)))))
+    return reports
+
+
+def erasure_report(f: Frame, d: DualFrame, lam: ErasureSet) -> ErasureReport:
+    return _reports(f, d, _check_lam(f, lam)[None])[0]
+
+
+def erasure_reports(f: Frame, d: DualFrame, r: int) -> list[ErasureReport]:
+    """Reports for all C(n, r) erasure sets, in lexicographic order."""
+    return _reports(f, d, _erasure_sets(f.n, r))
+
+
+def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
     """Maximum error-operator spectral radius over all erasure sets of size r.
 
     Enumerates all C(n, r) sets; the witness is the lexicographically
-    smallest set whose radius is within ``tie_tol`` of the maximum, so the
+    smallest set whose radius is within ``TIE_TOL`` of the maximum, so the
     result is independent of evaluation order.
     """
-    if not 1 <= r < f.n:
-        raise ValueError(f"erasure size r={r} outside [1, {f.n - 1}]")
-    total = comb(f.n, r)
-    if total > max_sets:
-        raise ValueError(f"C({f.n}, {r}) = {total} exceeds the enumeration cap {max_sets}")
-    _require_dual(f, d, dual_tol)
-    reports = [
-        _report(f, d, np.asarray(subset), eig_tol=eig_tol)
-        for subset in combinations(range(f.n), r)
-    ]
-    best = max(report.radius for report in reports)
-    witness = next(rep.lam for rep in reports if rep.radius >= best - tie_tol)
-    return RhoResult(best, witness, reports)
+    sets = _erasure_sets(f.n, r)
+    radii = np.max(np.abs(set_spectra(f, d, sets)[1]), axis=1)
+    best = float(np.max(radii))
+    witness = sets[np.argmax(radii >= best - TIE_TOL)]
+    return RhoResult(best, ErasureSet(tuple(int(i) + 1 for i in witness)))

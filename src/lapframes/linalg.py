@@ -4,9 +4,9 @@
   zero count (clamped exactly) cross-checked against a magnitude threshold,
   fixed order and signs, and residuals checked against a tolerance.
 * ``hermitian_eigenvalues`` -- ``eigvalsh``, descending.
-* ``small_complex_eigenvalues`` -- closed-form quadratic for order <= 2 (cheaper
-  per call than LAPACK at that size); ``eigvals`` for order >= 3, each root
-  checked against the characteristic polynomial.
+* ``small_complex_eigenvalues`` -- one matrix or a stack: closed-form quadratic
+  for order <= 2 (cheaper than LAPACK at that size); ``eigvals`` for order
+  >= 3, each root checked against the characteristic polynomial.
 * ``spectral_radius`` -- max eigenvalue magnitude via the route above.
 
 All kernels are pure functions of their inputs and deterministic.
@@ -125,22 +125,23 @@ def hermitian_eigenvalues(a) -> np.ndarray:
 
 
 def _eig_2x2(a: np.ndarray) -> np.ndarray:
-    """Both roots of the 2x2 characteristic polynomial, cancellation-safe."""
-    tr = a[0, 0] + a[1, 1]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    """Both roots of each 2x2 characteristic polynomial, cancellation-safe."""
+    tr = a[..., 0, 0] + a[..., 1, 1]
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     # (a-d)^2 + 4bc equals tr^2 - 4 det without the cancellation between
     # nearly equal diagonal entries
-    disc = np.sqrt(complex((a[0, 0] - a[1, 1]) ** 2 + 4.0 * a[0, 1] * a[1, 0]))
+    disc = np.sqrt((a[..., 0, 0] - a[..., 1, 1]) ** 2 + 4.0 * a[..., 0, 1] * a[..., 1, 0])
     # pick the sqrt sign that avoids cancellation in tr + disc
-    if (np.conj(tr) * disc).real < 0.0:
-        disc = -disc
+    disc = np.where((np.conj(tr) * disc).real < 0.0, -disc, disc)
     lam1 = 0.5 * (tr + disc)
-    lam2 = det / lam1 if lam1 != 0 else 0.5 * (tr - disc)
-    return np.array([lam1, lam2], dtype=complex)
+    nonzero = lam1 != 0
+    lam2 = np.where(nonzero, det / np.where(nonzero, lam1, 1.0), 0.5 * (tr - disc))
+    return np.stack([lam1, lam2], axis=-1)
 
 
 def small_complex_eigenvalues(a, *, eig_tol: float = EIG_TOL) -> np.ndarray:
-    """All eigenvalues (with multiplicity) of a small complex matrix.
+    """All eigenvalues (with multiplicity) of a small complex matrix, or of each
+    matrix in a stack of shape (..., r, r); the result has shape (..., r).
 
     Order <= 2 uses the closed-form quadratic; order >= 3 uses LAPACK and
     then validates each root against the characteristic polynomial, with the
@@ -148,15 +149,15 @@ def small_complex_eigenvalues(a, *, eig_tol: float = EIG_TOL) -> np.ndarray:
     across magnitudes.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.size == 0:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    r = a.shape[-1]
+    if r == 0:
         raise ValueError("matrix must have order at least 1")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    r = a.shape[0]
     if r == 1:
-        return np.array([a[0, 0]], dtype=complex)
+        return a[..., 0].copy()
     if r == 2:
         return _eig_2x2(a)
 
@@ -164,12 +165,12 @@ def small_complex_eigenvalues(a, *, eig_tol: float = EIG_TOL) -> np.ndarray:
         eigs = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigvals failed on order {r}: {exc}") from exc
-    residuals = np.abs(np.linalg.det(a[None] - eigs[:, None, None] * np.eye(r)))
-    scales = (float(np.linalg.norm(a)) + np.abs(eigs) + 1.0) ** r
-    bad = np.flatnonzero(residuals > eig_tol * scales)
-    if bad.size:
+    residuals = np.abs(np.linalg.det(a[..., None, :, :] - eigs[..., None, None] * np.eye(r)))
+    scales = (np.linalg.norm(a, axis=(-2, -1))[..., None] + np.abs(eigs) + 1.0) ** r
+    bad = residuals > eig_tol * scales
+    if np.any(bad):
         raise ConvergenceError(
-            f"characteristic polynomial residual above {eig_tol:g} at root {eigs[bad[0]]}"
+            f"characteristic polynomial residual above {eig_tol:g} at root {eigs[bad][0]}"
         )
     return eigs
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lapframes import reproduce
+from lapframes import erasure, reproduce
 from lapframes.cli import main
 
 from conftest import EDGE_TEXT, K3K2_TEXT
@@ -112,6 +112,15 @@ def test_rho_over_enumeration_cap_exits_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_verify_over_enumeration_cap_exits_2(capsys, k3k2_file, monkeypatch):
+    monkeypatch.setattr(erasure, "MAX_SETS", 5)
+    code, out, err = run(capsys, "verify", k3k2_file, "-r", "2")
+    assert code == 2
+    assert out == ""
+    assert "C(5, 2) = 10 exceeds the enumeration cap 5" in err
+    assert "Traceback" not in err
+
+
 def test_dual_canonical_and_params(capsys, k3k2_file, psi1_params_file):
     code, out, _ = run(capsys, "dual", k3k2_file)
     doc = json.loads(out)
@@ -151,6 +160,13 @@ def test_verify_single_edge_skips_order_two(capsys, tmp_path):
 
     code, _, err = run(capsys, "verify", str(path), "-r", "2")
     assert code == 2 and "at least 3 vertices" in err
+
+
+def test_verify_order_two_on_single_edge_component(capsys, tmp_path):
+    path = tmp_path / "edge3.el"
+    path.write_text("n 3\n1 2\n")
+    code, out, _ = run(capsys, "verify", str(path), "-r", "2")
+    assert code == 0 and json.loads(out)["all_pass"]
 
 
 def test_search_connected(capsys, tmp_path):

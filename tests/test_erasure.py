@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from lapframes import (
     apply_unitary,
     canonical_dual,
     dual_from_params,
+    erasure,
     erasure_report,
     error_operator,
     frame_from_graph,
@@ -13,6 +17,7 @@ from lapframes import (
     small_complex_eigenvalues,
     worst_radius,
 )
+from lapframes.erasure import TIE_TOL, EnumerationCapError, erasure_reports
 from lapframes.frames import DualFrame, DualParams
 from lapframes.reproduce import (
     CANONICAL_OPERATORS,
@@ -118,7 +123,7 @@ def test_worst_radius_fixture_orders(explicit):
     r2 = worst_radius(f, canon, 2)
     assert abs(r2.radius - 1.0) <= 1e-12
     assert r2.witness.indices == (1, 2)
-    for rep in r2.reports:
+    for rep in erasure_reports(f, canon, 2):
         assert abs(rep.radius - EXPECTED_RADII[rep.lam.indices]) <= 1e-12
 
 
@@ -136,14 +141,15 @@ def test_worst_radius_equals_max_pairing_for_r1():
         done += 1
 
 
-def test_worst_radius_rejects_bad_r(explicit):
+def test_worst_radius_rejects_bad_r(explicit, monkeypatch):
     f, canon = explicit
     with pytest.raises(ValueError, match="outside"):
         worst_radius(f, canon, 0)
     with pytest.raises(ValueError, match="outside"):
         worst_radius(f, canon, 5)
-    with pytest.raises(ValueError, match="cap"):
-        worst_radius(f, canon, 2, max_sets=5)
+    monkeypatch.setattr(erasure, "MAX_SETS", 5)
+    with pytest.raises(EnumerationCapError, match="cap"):
+        worst_radius(f, canon, 2)
 
 
 def test_reduced_and_full_spectra_agree():
@@ -205,7 +211,7 @@ def test_connected_canonical_pair_spectra():
             continue
         f = frame_from_graph(g)
         canon = canonical_dual(f)
-        for rep in worst_radius(f, canon, 2).reports:
+        for rep in erasure_reports(f, canon, 2):
             assert_multiset_close(rep.eigenvalues, [1.0, (n - 2) / n, 0.0][: f.k] + [0.0] * max(0, f.k - 3), tol=1e-8)
         done += 1
 
@@ -221,7 +227,7 @@ def test_cross_component_pair_radius():
         f = frame_from_graph(g)
         canon = canonical_dual(f)
         d = f.layout
-        for rep in worst_radius(f, canon, 2).reports:
+        for rep in erasure_reports(f, canon, 2):
             a, b = rep.lam.indices
             ja = next(j for j in range(d.m) if d.offsets[j] < a <= d.offsets[j + 1])
             jb = next(j for j in range(d.m) if d.offsets[j] < b <= d.offsets[j + 1])
@@ -258,7 +264,63 @@ def test_pair_radius_dominates_singletons_for_canonical():
         singles = {
             i: erasure_report(f, canon, ErasureSet((i,))).radius for i in range(1, f.n + 1)
         }
-        for rep in worst_radius(f, canon, 2).reports:
+        for rep in erasure_reports(f, canon, 2):
             a, b = rep.lam.indices
             assert rep.radius >= max(singles[a], singles[b]) - 1e-10
         done += 1
+
+
+def _per_set_loop(f, dual, r):
+    """The reference enumeration: scalar eigenvalues of each set's reduced
+    matrix, one set at a time, in lexicographic order."""
+    out = []
+    for subset in combinations(range(1, f.n + 1), r):
+        lam = ErasureSet(subset)
+        reduced = reduced_error_matrix(f, dual, lam)
+        eigs = small_complex_eigenvalues(reduced)
+        out.append((lam, reduced, eigs, float(np.max(np.abs(eigs)))))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_batched_kernel_matches_per_set_loop(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(erasure, "CHUNK_SETS", chunk)  # sets straddle chunk boundaries
+    rng = np.random.default_rng(67)
+    for r in (1, 2, 3):
+        done = 0
+        while done < 4:
+            g = random_graph(int(rng.integers(r + 2, 10)), rng)
+            if g.edge_count == 0:
+                continue
+            f = frame_from_graph(g)
+            dual = dual_from_params(f, random_dual_params(f, rng, scale=2.0))
+            loop = _per_set_loop(f, dual, r)
+            best = max(radius for *_, radius in loop)
+            result = worst_radius(f, dual, r)
+            assert abs(result.radius - best) <= 1e-12 * best
+            assert result.witness == next(lam for lam, *_, radius in loop if radius >= best - TIE_TOL)
+
+            reports = erasure_reports(f, dual, r)
+            assert [rep.lam for rep in reports] == [lam for lam, *_ in loop]
+            for rep, (_, reduced, eigs, radius) in zip(reports, loop):
+                scale = max(1.0, radius)
+                assert abs(rep.radius - radius) <= 1e-12 * scale
+                assert np.max(np.abs(rep.reduced - reduced)) <= 1e-12 * scale
+                by_mag = list(eigs[np.argsort(-np.abs(eigs), kind="stable")]) + [0.0] * f.k
+                assert_multiset_close(rep.eigenvalues, by_mag[: f.k], tol=1e-12 * scale)
+            done += 1
+
+
+def test_worst_radius_memory_stays_flat():
+    # 7 140 pairs; a k x k operator kept per set would trace about 1.6 GB here
+    rng = np.random.default_rng(71)
+    f = frame_from_graph(random_graph(120, rng, p=0.3))
+    dual = dual_from_params(f, random_dual_params(f, rng, scale=1.0))
+    tracemalloc.start()
+    try:
+        worst_radius(f, dual, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

@@ -152,6 +152,18 @@ def test_inaccurate_lapack_answers_fail_residual_checks(monkeypatch):
         small_complex_eigenvalues(L_K3)
 
 
+def test_small_eigenvalues_stack_matches_each_matrix():
+    rng = np.random.default_rng(11)
+    for r in (1, 2, 3, 4):
+        stack = rng.uniform(-2, 2, (6, r, r)) + 1j * rng.uniform(-2, 2, (6, r, r))
+        stack[0] = 0.0  # at order 2 the first root is 0 and the second skips det / lam1
+        eigs = small_complex_eigenvalues(stack)
+        assert eigs.shape == (6, r)
+        for a, row in zip(stack, eigs):
+            assert np.max(np.abs(row - small_complex_eigenvalues(a))) <= 1e-12
+    assert small_complex_eigenvalues(np.ones((2, 3, 1, 1))).shape == (2, 3, 1)
+
+
 def test_spectral_radius_reference_values():
     a = np.array(
         [

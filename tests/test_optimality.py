@@ -259,6 +259,15 @@ def test_verify_order_degenerate_disconnected_uses_singleton_witness():
     assert rep.unique == "non-unique" and rep.all_pass
 
 
+@pytest.mark.parametrize("text", ["n 3\n1 2\n", "n 5\n1 2\n"])
+def test_verify_order_two_with_one_dimensional_frame(text):
+    # k = 1 while each pair spectrum (1, 0) has two entries
+    f = frame_from_graph(parse_edge_list(text))
+    assert f.k == 1
+    rep = verify_order(f, 2)
+    assert rep.all_pass and rep.measured == pytest.approx(1.0, abs=1e-12)
+
+
 def test_search_and_verify_reject_r_at_least_n(edge_frame):
     with pytest.raises(ValueError, match="below n"):
         search_optimal_dual(edge_frame, 2, SearchConfig(budget=100))
