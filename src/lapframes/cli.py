@@ -17,9 +17,9 @@ import numpy as np
 
 from .erasure import EnumerationCapError, erasure_reports, worst_radius
 from .frames import (
+    DualFrame,
     DualParams,
     Frame,
-    canonical_dual,
     dual_from_params,
     dual_to_doc,
     frame_bounds,
@@ -51,7 +51,14 @@ def _load_frame(path: str) -> Frame:
         raise InputError(str(exc)) from exc
 
 
-def _load_params(path: str, frame: Frame) -> DualParams:
+def _check_order(frame: Frame, r: int) -> None:
+    """Refuse an erasure order outside [1, n - 1]: an erasure must leave a vector."""
+    if not 1 <= r < frame.n:
+        need = f" (-r {r} requires at least {r + 1} vertices)" if r >= frame.n else ""
+        raise InputError(f"-r must be in [1, {frame.n - 1}] for this graph, got {r}{need}")
+
+
+def _load_dual(path: str, frame: Frame) -> DualFrame:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -65,7 +72,7 @@ def _load_params(path: str, frame: Frame) -> DualParams:
         except (TypeError, ValueError) as exc:
             raise InputError(f"each shift must be a list of [re, im] pairs: {exc}") from exc
     try:
-        return dual_from_params(frame, DualParams(tuple(shifts))).params
+        return dual_from_params(frame, DualParams(tuple(shifts)))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -105,11 +112,7 @@ def cmd_build(args) -> int:
 
 def cmd_dual(args) -> int:
     frame = _load_frame(args.file)
-    if args.params:
-        params = _load_params(args.params, frame)
-        dual = dual_from_params(frame, params)
-    else:
-        dual = canonical_dual(frame)
+    dual = _load_dual(args.params, frame) if args.params else frame.canonical
     _emit({
         "schema": 1,
         "command": "dual",
@@ -121,10 +124,8 @@ def cmd_dual(args) -> int:
 
 def cmd_rho(args) -> int:
     frame = _load_frame(args.file)
-    if not 1 <= args.r < frame.n:
-        raise InputError(f"-r must be in [1, {frame.n - 1}] for this graph, got {args.r}")
-    dual = dual_from_params(frame, _load_params(args.params, frame)) if args.params \
-        else canonical_dual(frame)
+    _check_order(frame, args.r)
+    dual = _load_dual(args.params, frame) if args.params else frame.canonical
     result = worst_radius(frame, dual, args.r)
     payload = {
         "schema": 1,
@@ -141,13 +142,11 @@ def cmd_rho(args) -> int:
 
 def cmd_verify(args) -> int:
     frame = _load_frame(args.file)
-    orders = [args.r] if args.r else [1, 2]
-    if args.r == 2 and frame.n < 3:
-        raise InputError("-r 2 requires at least 3 vertices (erasure size must stay below n)")
+    if args.r:
+        _check_order(frame, args.r)
+    orders = [args.r] if args.r else [r for r in (1, 2) if r < frame.n]
     reports = []
     for r in orders:
-        if r == 2 and frame.n < 3:
-            continue
         rep = verify_order(frame, r, seed=args.seed)
         reports.append({
             "r": rep.r,
@@ -175,7 +174,11 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     frame = _load_frame(args.file)
-    cfg = SearchConfig(seed=args.seed, budget=args.budget)
+    _check_order(frame, args.r)
+    try:
+        cfg = SearchConfig(seed=args.seed, budget=args.budget)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     try:
         report = search_optimal_dual(frame, args.r, cfg)
     except SearchBudgetError as exc:

@@ -83,23 +83,23 @@ def _check_lam(f: Frame, lam: ErasureSet) -> np.ndarray:
     return np.asarray(lam.indices) - 1
 
 
-def _require_dual(f: Frame, d: DualFrame, dual_tol: float) -> None:
-    check = is_dual(f, d, dual_tol)
+def _require_dual(f: Frame, d: DualFrame) -> None:
+    check = is_dual(f, d)
     if not check.ok:
-        raise ValueError(f"non-dual pair: duality residual {check.residual:.3e} above {dual_tol:g}")
+        raise ValueError(f"non-dual pair: duality residual {check.residual:.3e} above {DUAL_TOL:g}")
 
 
-def error_operator(f: Frame, d: DualFrame, lam: ErasureSet, *, dual_tol: float = DUAL_TOL) -> np.ndarray:
+def error_operator(f: Frame, d: DualFrame, lam: ErasureSet) -> np.ndarray:
     """k x k matrix of the reconstruction contribution of the erased set."""
-    _require_dual(f, d, dual_tol)
+    _require_dual(f, d)
     cols = _check_lam(f, lam)
     return d.vectors[:, cols] @ f.synthesis[:, cols].conj().T
 
 
-def reduced_error_matrix(f: Frame, d: DualFrame, lam: ErasureSet, *, dual_tol: float = DUAL_TOL) -> np.ndarray:
+def reduced_error_matrix(f: Frame, d: DualFrame, lam: ErasureSet) -> np.ndarray:
     """r x r matrix with entry (i, j) pairing dual vector j against frame
     vector i over the erased set; shares the full operator's nonzero spectrum."""
-    _require_dual(f, d, dual_tol)
+    _require_dual(f, d)
     cols = _check_lam(f, lam)
     return f.synthesis[:, cols].conj().T @ d.vectors[:, cols]
 
@@ -118,7 +118,7 @@ def _erasure_sets(n: int, r: int) -> np.ndarray:
 def set_spectra(f: Frame, d: DualFrame, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cross-Gramian C = Phi^H Psi of a checked dual pair, and the r eigenvalues
     of C[s, s] for each row s of 0-based ``sets``, CHUNK_SETS rows at a time."""
-    _require_dual(f, d, DUAL_TOL)
+    _require_dual(f, d)
     c = f.synthesis.conj().T @ d.vectors
     out = np.empty(sets.shape, dtype=complex)
     for start in range(0, len(sets), CHUNK_SETS):

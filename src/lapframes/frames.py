@@ -6,11 +6,17 @@ Laplacian is eigendecomposed, the zero mode is dropped, the remaining
 eigenvector rows are scaled by sqrt(eigenvalue), and the blocks are placed
 on the diagonal of the synthesis matrix. Columns follow the component
 block ordering of the underlying graph.
+
+Every dual is the canonical dual plus one constant shift per component:
+Psi = Psi_canonical + V B^T, with V the k x m matrix of shifts and B the
+n x m component indicator. The canonical dual is computed once per frame
+(``Frame.canonical``) and every shifted dual is built from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +34,8 @@ class Frame:
 
     ``synthesis`` is k x n complex with column i the i-th frame vector (in
     block order); ``spectrum`` lists the nonzero Laplacian eigenvalues in
-    block order, descending inside each block.
+    block order, descending inside each block. ``synthesis`` is made
+    read-only, so the memoized ``canonical`` dual cannot go stale.
     """
 
     k: int
@@ -46,6 +53,14 @@ class Frame:
             raise ValueError("layout vertex count does not match frame size")
         if self.spectrum.shape != (self.k,):
             raise ValueError("spectrum length must equal the ambient dimension")
+        self.synthesis.flags.writeable = False
+
+    @cached_property
+    def canonical(self) -> DualFrame:
+        """The canonical dual, computed once per frame; its vectors are read-only."""
+        dual = canonical_dual(self)
+        dual.vectors.flags.writeable = False
+        return dual
 
 
 @dataclass(frozen=True)
@@ -122,8 +137,11 @@ def frame_bounds(f: Frame, *, zero_tol: float = ZERO_TOL) -> tuple[float, float]
     return lower, upper
 
 
-def canonical_dual(f: Frame, *, dual_tol: float = DUAL_TOL) -> DualFrame:
-    """Apply the inverse frame operator to every frame vector."""
+def canonical_dual(f: Frame) -> DualFrame:
+    """Apply the inverse frame operator to every frame vector.
+
+    This is the one computation behind ``f.canonical``; read that instead.
+    """
     s = frame_operator(f)
     try:
         vectors = np.linalg.solve(s, f.synthesis)
@@ -131,34 +149,29 @@ def canonical_dual(f: Frame, *, dual_tol: float = DUAL_TOL) -> DualFrame:
         raise ValueError("singular frame operator") from exc
     zero = tuple(np.zeros(f.k, dtype=complex) for _ in range(f.layout.m))
     dual = DualFrame(vectors, DualParams(zero))
-    check = is_dual(f, dual, dual_tol)
+    check = is_dual(f, dual)
     if not check.ok:
-        raise ValueError(f"canonical dual residual {check.residual:.3e} above {dual_tol:g}")
+        raise ValueError(f"canonical dual residual {check.residual:.3e} above {DUAL_TOL:g}")
     return dual
 
 
-def dual_from_params(f: Frame, params: DualParams, *, dual_tol: float = DUAL_TOL) -> DualFrame:
+def dual_from_params(f: Frame, params: DualParams) -> DualFrame:
     """Canonical dual plus one constant shift per component block.
 
-    Duality is verified, not assumed; a residual above ``dual_tol`` raises
+    Duality is verified, not assumed; a residual above ``DUAL_TOL`` raises
     (it signals a shift layout inconsistent with the frame).
     """
     if params.m != f.layout.m:
         raise ValueError(f"expected {f.layout.m} shift vectors, got {params.m}")
-    shifts = []
-    for nu in params.shifts:
-        nu = np.asarray(nu, dtype=complex).reshape(-1)
+    shifts = tuple(np.asarray(nu, dtype=complex).reshape(-1) for nu in params.shifts)
+    for nu in shifts:
         if nu.shape != (f.k,):
             raise ValueError(f"each shift must have dimension {f.k}, got {nu.shape}")
-        shifts.append(nu)
-    vectors = canonical_dual(f, dual_tol=dual_tol).vectors.copy()
-    for j in range(f.layout.m):
-        lo, hi = f.layout.offsets[j], f.layout.offsets[j + 1]
-        vectors[:, lo:hi] += shifts[j][:, None]
-    dual = DualFrame(vectors, DualParams(tuple(shifts)))
-    check = is_dual(f, dual, dual_tol)
+    block = np.repeat(np.arange(f.layout.m), f.layout.sizes)
+    dual = DualFrame(f.canonical.vectors + np.stack(shifts, axis=1)[:, block], DualParams(shifts))
+    check = is_dual(f, dual)
     if not check.ok:
-        raise ValueError(f"duality residual {check.residual:.3e} above {dual_tol:g}")
+        raise ValueError(f"duality residual {check.residual:.3e} above {DUAL_TOL:g}")
     return dual
 
 

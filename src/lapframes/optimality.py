@@ -13,13 +13,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .erasure import set_spectra, worst_radius
-from .frames import DUAL_TOL, DualFrame, DualParams, Frame, canonical_dual, dual_from_params
+from .frames import DualFrame, DualParams, Frame, dual_from_params
 from .simplex import nelder_mead
 
 RADIUS_TOL = 1e-9
 IMPROVEMENT_TOL = 1e-8
 NEAR_OPTIMUM_TOL = 1e-6
 DISTINCT_POINT_TOL = 1e-2
+SPECTRUM_TOL = 1e-8
+GRID_EXTENT = 1.0  # the coarse grid and the random restart span [-GRID_EXTENT, GRID_EXTENT]
+GRID_STEPS = 5
+PROBE_TRIALS = 100
+PROBE_NORM_RANGE = (1e-3, 10.0)  # log-uniform range of the probe's shift norms
+PROBE_SLACK = 1e-10
 
 
 class SearchBudgetError(RuntimeError):
@@ -28,18 +34,10 @@ class SearchBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    grid_extent: float = 1.0
-    grid_steps: int = 5
-    refine_iters: int = 200
-    refine_tol: float = 1e-10
     seed: int = 0
     budget: int = 5000
 
     def __post_init__(self):
-        if self.grid_extent <= 0 or self.refine_iters <= 0 or self.refine_tol <= 0:
-            raise ValueError("grid_extent, refine_iters and refine_tol must be positive")
-        if self.grid_steps < 2:
-            raise ValueError("grid_steps must be at least 2")
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
 
@@ -114,7 +112,7 @@ def check_uniform_diagonal(f: Frame, d: DualFrame, *, tol: float = RADIUS_TOL) -
     return uniform
 
 
-def alternate_optimal_dual(f: Frame, r: int, *, dual_tol: float = DUAL_TOL) -> DualFrame:
+def alternate_optimal_dual(f: Frame, r: int) -> DualFrame:
     """The explicit non-canonical optimal dual for a multi-component graph.
 
     Shifts the first component's dual vectors by a vector supported outside
@@ -142,10 +140,10 @@ def alternate_optimal_dual(f: Frame, r: int, *, dual_tol: float = DUAL_TOL) -> D
     else:
         nu[block] = 1.0
     shifts = (nu,) + tuple(np.zeros(f.k, dtype=complex) for _ in range(f.layout.m - 1))
-    return dual_from_params(f, DualParams(shifts), dual_tol=dual_tol)
+    return dual_from_params(f, DualParams(shifts))
 
 
-def singleton_shift_dual(f: Frame, *, dual_tol: float = DUAL_TOL) -> DualFrame:
+def singleton_shift_dual(f: Frame) -> DualFrame:
     """Non-canonical dual obtained by shifting a single-vertex component.
 
     Such a component's frame vector is zero, so the shifted dual vector never
@@ -160,7 +158,7 @@ def singleton_shift_dual(f: Frame, *, dual_tol: float = DUAL_TOL) -> DualFrame:
         raise ValueError("no single-vertex component to shift") from None
     shifts = [np.zeros(f.k, dtype=complex) for _ in range(f.layout.m)]
     shifts[j] = np.ones(f.k, dtype=complex)
-    return dual_from_params(f, DualParams(tuple(shifts)), dual_tol=dual_tol)
+    return dual_from_params(f, DualParams(tuple(shifts)))
 
 
 def params_to_vector(params: DualParams, k: int) -> np.ndarray:
@@ -234,7 +232,7 @@ def search_optimal_dual(f: Frame, r: int, cfg: SearchConfig = SearchConfig()) ->
     if cfg.budget == 0:
         return finalize()
 
-    axis_values = [v for v in np.linspace(-cfg.grid_extent, cfg.grid_extent, cfg.grid_steps) if v != 0.0]
+    axis_values = [v for v in np.linspace(-GRID_EXTENT, GRID_EXTENT, GRID_STEPS) if v != 0.0]
     grid_pass = 1 + dim * len(axis_values)
     if cfg.budget < grid_pass:
         raise SearchBudgetError(
@@ -253,36 +251,22 @@ def search_optimal_dual(f: Frame, r: int, cfg: SearchConfig = SearchConfig()) ->
     seeds.sort(key=lambda entry: entry[1])
     starts = [origin] + [x for x, _ in seeds[:3]]
     rng = np.random.default_rng(cfg.seed)
-    starts.append(rng.uniform(-cfg.grid_extent, cfg.grid_extent, dim))
+    starts.append(rng.uniform(-GRID_EXTENT, GRID_EXTENT, dim))
     for start in starts:
         remaining = cfg.budget - evaluations
         if remaining < dim + 2:
             break
-        result = nelder_mead(
-            objective,
-            start,
-            step=0.25 * cfg.grid_extent,
-            max_iter=cfg.refine_iters,
-            f_tol=cfg.refine_tol,
-            max_evals=remaining,
-        )
+        result = nelder_mead(objective, start, max_evals=remaining)
         if result.fx < best_rho:
             best_x, best_rho = result.x, result.fx
     return finalize()
 
 
-def uniqueness_probe(
-    f: Frame,
-    trials: int,
-    seed: int,
-    *,
-    norm_range: tuple[float, float] = (1e-3, 10.0),
-    slack: float = 1e-10,
-) -> ProbeReport:
+def uniqueness_probe(f: Frame, trials: int, seed: int) -> ProbeReport:
     """Check that every nonzero shift strictly worsens the order-1 radius.
 
     Only meaningful for single-component graphs, where the canonical dual is
-    the unique optimum; shift norms are log-uniform over ``norm_range``.
+    the unique optimum; shift norms are log-uniform over ``PROBE_NORM_RANGE``.
     """
     if f.layout.m != 1:
         raise ValueError("strictness probe requires a single-component graph")
@@ -290,7 +274,7 @@ def uniqueness_probe(
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     baseline = predicted_worst_radius(f, 1)
-    lo, hi = norm_range
+    lo, hi = PROBE_NORM_RANGE
     min_excess = np.inf
     violations = 0
     for _ in range(trials):
@@ -300,7 +284,7 @@ def uniqueness_probe(
         dual = dual_from_params(f, DualParams((norm * direction,)))
         excess = worst_radius(f, dual, 1).radius - baseline
         min_excess = min(min_excess, excess)
-        if excess <= -slack:
+        if excess <= -PROBE_SLACK:
             violations += 1
     return ProbeReport(float(min_excess), violations, trials)
 
@@ -323,25 +307,17 @@ def _nonuniqueness_witness(f: Frame, r: int) -> DualFrame:
         return singleton_shift_dual(f)
 
 
-def verify_order(
-    f: Frame,
-    r: int,
-    *,
-    seed: int = 0,
-    trials: int = 100,
-    tol: float = RADIUS_TOL,
-    spectrum_tol: float = 1e-8,
-) -> OptimalityReport:
+def verify_order(f: Frame, r: int, *, seed: int = 0) -> OptimalityReport:
     """Run every measurable claim for one erasure order against a frame."""
     if r not in (1, 2):
         raise ValueError(f"verification covers erasure orders 1 and 2, got {r}")
     if r >= f.n:
         raise ValueError(f"erasure size r={r} must stay below n={f.n}")
-    canon = canonical_dual(f)
+    canon = f.canonical
     predicted = predicted_worst_radius(f, r)
     result = worst_radius(f, canon, r)
     measured = result.radius
-    details = [_detail(f"order-{r} canonical radius", predicted, measured, tol)]
+    details = [_detail(f"order-{r} canonical radius", predicted, measured, RADIUS_TOL)]
     notes: list[str] = []
     extras: dict = {"witness": list(result.witness.indices)}
     witnesses: list[DualParams] = [canon.params]
@@ -355,7 +331,7 @@ def verify_order(
             block = couplings[offsets[j]:offsets[j + 1]]
             worst = float(np.max(np.abs(block - target))) if len(block) else 0.0
             details.append(
-                _detail(f"component {j + 1} pairings equal {s - 1}/{s}", 0.0, worst, tol)
+                _detail(f"component {j + 1} pairings equal {s - 1}/{s}", 0.0, worst, RADIUS_TOL)
             )
     else:
         pairs = [np.column_stack(np.triu_indices(s, 1)) + lo for s, lo in zip(sizes, offsets)]
@@ -367,7 +343,7 @@ def verify_order(
             got = np.sort(spectra[j].real, axis=1)[:, ::-1]
             worst = float(np.max(np.abs(got - [1.0, (s - 2) / s])))
             details.append(
-                _detail(f"component {j + 1} pair spectra equal (1, {s - 2}/{s})", 0.0, worst, spectrum_tol)
+                _detail(f"component {j + 1} pair spectra equal (1, {s - 2}/{s})", 0.0, worst, SPECTRUM_TOL)
             )
         notes.append(
             "a conflicting reference value of 2 exists for the order-2 optimum; "
@@ -377,7 +353,7 @@ def verify_order(
 
     canonical_optimal = details[0]["pass"]
     if f.layout.m == 1:
-        probe = uniqueness_probe(f, trials, seed)
+        probe = uniqueness_probe(f, PROBE_TRIALS, seed)
         details.append(
             {
                 "claim": "order-1 strictness probe (nonzero shifts strictly worse)",
@@ -392,7 +368,7 @@ def verify_order(
     else:
         alternate = _nonuniqueness_witness(f, r)
         alt_radius = worst_radius(f, alternate, r).radius
-        details.append(_detail(f"alternate dual ties the order-{r} radius", measured, alt_radius, tol))
+        details.append(_detail(f"alternate dual ties the order-{r} radius", measured, alt_radius, RADIUS_TOL))
         distance = float(np.max(np.linalg.norm(alternate.vectors - canon.vectors, axis=0)))
         details.append(
             {

@@ -16,7 +16,6 @@ from .erasure import ErasureSet, error_operator, reduced_error_matrix, worst_rad
 from .frames import (
     DualParams,
     Frame,
-    canonical_dual,
     dual_from_params,
     frame_from_graph,
     frame_operator,
@@ -143,7 +142,7 @@ def run_reproduction(tol: float | None = None) -> dict:
                          _max_abs(gramian(frame), permuted_laplacian(g)), t))
     checks.append(_check("pipeline: frame operator is diag(3, 3, 2)",
                          _max_abs(frame_operator(frame), np.diag([3.0, 3.0, 2.0])), t))
-    canon = canonical_dual(frame)
+    canon = frame.canonical
     pairings = np.sort(np.abs(np.sum(frame.synthesis.conj() * canon.vectors, axis=0)))
     checks.append(_check("pipeline: canonical pairings are (1/2, 1/2, 2/3, 2/3, 2/3)",
                          _max_abs(pairings, [0.5, 0.5, 2 / 3, 2 / 3, 2 / 3]), t))
@@ -168,7 +167,7 @@ def run_reproduction(tol: float | None = None) -> dict:
     ef = explicit_frame()
     checks.append(_check("explicit: gramian equals the graph Laplacian",
                          _max_abs(gramian(ef), LAPLACIAN_5), t))
-    ecanon = canonical_dual(ef)
+    ecanon = ef.canonical
     checks.append(_check("explicit: canonical dual matches the reference vectors",
                          _max_abs(ecanon.vectors, EXPECTED_CANONICAL_VECTORS), t))
     eshift = dual_from_params(ef, DualParams(tuple(np.array(s, dtype=complex) for s in SHIFT_PARAMS)))

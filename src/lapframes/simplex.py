@@ -12,38 +12,31 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 
+STEP = 0.25  # initial simplex offset along each axis
+MAX_ITER = 200
+F_TOL = 1e-10
+ALPHA, GAMMA, BETA, DELTA = 1.0, 2.0, 0.5, 0.5  # reflection, expansion, contraction, shrink
+
+
 class SimplexResult(NamedTuple):
     x: np.ndarray
     fx: float
     evaluations: int
 
 
-def nelder_mead(
-    fn: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    *,
-    step: float = 0.25,
-    max_iter: int = 200,
-    f_tol: float = 1e-10,
-    max_evals: int | None = None,
-    alpha: float = 1.0,
-    gamma: float = 2.0,
-    beta: float = 0.5,
-    delta: float = 0.5,
-) -> SimplexResult:
-    """Minimize ``fn`` from ``x0``; the initial simplex offsets each axis by ``step``.
+def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray, max_evals: int) -> SimplexResult:
+    """Minimize ``fn`` from ``x0``; the initial simplex offsets each axis by ``STEP``.
 
-    Stops on ``max_iter`` iterations, a function spread below ``f_tol``, or
+    Stops on ``MAX_ITER`` iterations, a function spread below ``F_TOL``, or
     when ``max_evals`` objective evaluations have been spent.
     """
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size
     evals = 0
-    budget = max_evals if max_evals is not None else (dim + 1) + 2 * max_iter * max(dim, 1)
 
     def call(x: np.ndarray) -> float | None:
         nonlocal evals
-        if evals >= budget:
+        if evals >= max_evals:
             return None
         evals += 1
         return fn(x)
@@ -54,29 +47,29 @@ def nelder_mead(
     simplex = [(x0, first)]
     for i in range(dim):
         x = x0.copy()
-        x[i] += step
+        x[i] += STEP
         fx = call(x)
         if fx is None:
             break
         simplex.append((x, fx))
     simplex.sort(key=lambda entry: entry[1])
 
-    for _ in range(max_iter):
-        if len(simplex) < dim + 1 or evals >= budget:
+    for _ in range(MAX_ITER):
+        if len(simplex) < dim + 1 or evals >= max_evals:
             break
-        if simplex[-1][1] - simplex[0][1] <= f_tol:
+        if simplex[-1][1] - simplex[0][1] <= F_TOL:
             break
         centroid = np.mean([x for x, _ in simplex[:-1]], axis=0)
         worst_x, worst_f = simplex[-1]
 
-        reflected = centroid + alpha * (centroid - worst_x)
+        reflected = centroid + ALPHA * (centroid - worst_x)
         fr = call(reflected)
         if fr is None:
             break
         if simplex[0][1] <= fr < simplex[-2][1]:
             simplex[-1] = (reflected, fr)
         elif fr < simplex[0][1]:
-            expanded = centroid + gamma * (centroid - worst_x)
+            expanded = centroid + GAMMA * (centroid - worst_x)
             fe = call(expanded)
             if fe is None:
                 simplex[-1] = (reflected, fr)
@@ -84,7 +77,7 @@ def nelder_mead(
                 break
             simplex[-1] = (expanded, fe) if fe < fr else (reflected, fr)
         else:
-            contracted = centroid + beta * (centroid - worst_x)
+            contracted = centroid + BETA * (centroid - worst_x)
             fc = call(contracted)
             if fc is None:
                 break
@@ -94,7 +87,7 @@ def nelder_mead(
                 best_x = simplex[0][0]
                 shrunk = [simplex[0]]
                 for x, _ in simplex[1:]:
-                    xs = best_x + delta * (x - best_x)
+                    xs = best_x + DELTA * (x - best_x)
                     fs = call(xs)
                     if fs is None:
                         break

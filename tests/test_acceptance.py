@@ -130,7 +130,7 @@ def test_criterion_5_uniqueness_strictness():
     ]
     for seed, g in enumerate(graphs):
         frame = frame_from_graph(g)
-        report = uniqueness_probe(frame, trials=100, seed=seed, slack=1e-10)
+        report = uniqueness_probe(frame, trials=100, seed=seed)
         assert report.violations == 0
         assert report.min_excess > 0
     print("ACCEPTANCE 5 (uniqueness strictness, 3 graphs x 100 shifts): PASS")

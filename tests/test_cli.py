@@ -184,6 +184,20 @@ def test_search_budget_too_small(capsys, k3k2_file):
     assert code == 2 and "grid pass" in err
 
 
+@pytest.mark.parametrize("text, argv", [
+    (EDGE_TEXT, ["-r", "2"]),
+    (K3K2_TEXT, ["-r", "1", "--budget", "-1"]),
+], ids=["r-not-below-n", "negative-budget"])
+def test_search_bad_input_exits_2(capsys, tmp_path, text, argv):
+    path = tmp_path / "g.el"
+    path.write_text(text)
+    code, out, err = run(capsys, "search", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_reproduce_all_pass(capsys):
     code, out, _ = run(capsys, "reproduce")
     assert code == 0

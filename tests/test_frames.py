@@ -108,6 +108,14 @@ def test_canonical_dual_orthonormal_basis():
     assert np.allclose(canonical_dual(f).vectors, np.eye(2))
 
 
+def test_canonical_memo_and_synthesis_are_read_only(k3k2_frame):
+    assert k3k2_frame.canonical is k3k2_frame.canonical
+    with pytest.raises(ValueError, match="read-only"):
+        k3k2_frame.canonical.vectors[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        k3k2_frame.synthesis[0, 0] = 1
+
+
 def test_dual_from_params_zero_is_canonical(k3k2_frame):
     zero = DualParams(tuple(np.zeros(3, dtype=complex) for _ in range(2)))
     dual = dual_from_params(k3k2_frame, zero)

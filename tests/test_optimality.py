@@ -20,6 +20,7 @@ from lapframes import (
     verify_order,
     worst_radius,
 )
+from lapframes import frames
 from lapframes.frames import DualParams, Frame
 from lapframes.optimality import params_to_vector, vector_to_params
 from lapframes.sampling import (
@@ -156,11 +157,21 @@ def test_search_budget_below_grid_pass_raises(k3k2_frame):
 
 def test_search_config_validation():
     with pytest.raises(ValueError):
-        SearchConfig(grid_steps=1)
-    with pytest.raises(ValueError):
-        SearchConfig(grid_extent=0.0)
-    with pytest.raises(ValueError):
         SearchConfig(budget=-1)
+
+
+def test_search_computes_canonical_dual_once(monkeypatch, k3k2_frame):
+    calls = []
+    compute = frames.canonical_dual
+
+    def counted(f):
+        calls.append(f)
+        return compute(f)
+
+    monkeypatch.setattr(frames, "canonical_dual", counted)
+    report = search_optimal_dual(k3k2_frame, 1, SearchConfig())
+    assert report.evaluations > 1
+    assert len(calls) == 1 and calls[0] is k3k2_frame
 
 
 def test_connected_law_sample():
