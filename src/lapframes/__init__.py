@@ -4,11 +4,9 @@ from .erasure import ErasureReport, ErasureSet, erasure_report, error_operator, 
 from .frames import (
     DUAL_TOL,
     DualFrame,
-    DualParams,
     Frame,
     apply_unitary,
     canonical_dual,
-    dual_from_doc,
     dual_from_params,
     dual_to_doc,
     frame_bounds,

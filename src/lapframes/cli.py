@@ -3,7 +3,9 @@
 Subcommands: build, dual, rho, verify, search, reproduce. All reports are
 JSON on standard output (or --output <path>) with a top-level schema field.
 Exit codes: 0 success or all checks passed, 1 a verification check failed,
-2 usage or input error, or more erasure sets than the enumeration cap.
+2 usage or input error (an unreadable or undecodable input file and an
+unwritable output path included), or more erasure sets than the
+enumeration cap.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from .erasure import EnumerationCapError, erasure_reports, worst_radius
 from .frames import (
     DualFrame,
-    DualParams,
     Frame,
     dual_from_params,
     dual_to_doc,
@@ -43,7 +44,7 @@ class InputError(ValueError):
 def _load_frame(path: str) -> Frame:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return frame_from_graph(parse_edge_list(text))
@@ -59,37 +60,44 @@ def _check_order(frame: Frame, r: int) -> None:
 
 
 def _load_dual(path: str, frame: Frame) -> DualFrame:
+    """The dual whose shifts V are in ``path``: a JSON list of V's m columns,
+    each a list of k [re, im] pairs."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read dual params from {path}: {exc}") from exc
     if not isinstance(raw, list) or len(raw) != frame.layout.m:
         raise InputError(f"expected a JSON list of {frame.layout.m} shift vectors")
-    shifts = []
-    for entry in raw:
-        try:
-            shifts.append(np.array([complex(re, im) for re, im in entry], dtype=complex))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"each shift must be a list of [re, im] pairs: {exc}") from exc
     try:
-        return dual_from_params(frame, DualParams(tuple(shifts)))
+        columns = [[complex(re, im) for re, im in entry] for entry in raw]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"each shift must be a list of [re, im] pairs: {exc}") from exc
+    for column in columns:
+        if len(column) != frame.k:
+            raise InputError(f"each shift must have dimension {frame.k}, got ({len(column)},)")
+    try:
+        return dual_from_params(frame, np.array(columns, dtype=complex).T)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
-def _params_doc(params: DualParams) -> list:
-    return [
-        [[float(z.real), float(z.imag)] for z in np.asarray(nu, dtype=complex)]
-        for nu in params.shifts
-    ]
+def _params_doc(shifts: np.ndarray) -> list:
+    """The m columns of k x m shifts as lists of [re, im] pairs."""
+    return [[[float(z.real), float(z.imag)] for z in column] for column in shifts.T]
+
+
+def _write(text: str, output: str | None) -> None:
+    if not output:
+        print(text)
+        return
+    try:
+        Path(output).write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {output}: {exc}") from exc
 
 
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if output:
-        Path(output).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _write(json.dumps(payload, indent=2), output)
 
 
 def _frame_summary(frame: Frame) -> dict:
@@ -117,7 +125,7 @@ def cmd_dual(args) -> int:
         "schema": 1,
         "command": "dual",
         "dual": dual_to_doc(dual, frame),
-        "params": _params_doc(dual.params) if dual.params is not None else None,
+        "params": _params_doc(dual.shifts),
     }, args.output)
     return 0
 
@@ -209,11 +217,7 @@ def cmd_reproduce(args) -> int:
             verdict = "PASS" if c["pass"] else "FAIL"
             lines.append(f"{c['name'].ljust(width)}  {c['residual']:.3e}  {c['tol']:.1e}  {verdict}")
         lines.append("all checks passed" if report["all_pass"] else "SOME CHECKS FAILED")
-        text = "\n".join(lines)
-        if args.output:
-            Path(args.output).write_text(text + "\n", encoding="utf-8")
-        else:
-            print(text)
+        _write("\n".join(lines), args.output)
     return 0 if report["all_pass"] else 1
 
 

@@ -3,8 +3,11 @@
 An erasure set L's error operator is the k x k map assembled from the erased
 dual and frame columns. Its nonzero spectrum is that of the r x r principal
 submatrix C[L, L] of the cross-Gramian C = Phi^H Psi, so all radii come from
-one C, in stacks of CHUNK_SETS submatrices. ``error_operator`` and
-``reduced_error_matrix`` build one set's matrices directly, as test oracles.
+one C, in stacks of CHUNK_SETS submatrices. Every ``DualFrame`` was checked
+where it was built (``Frame.canonical`` or ``dual_from_params``), so the
+radius kernel does not check it again. ``error_operator`` and
+``reduced_error_matrix`` build one set's matrices directly, as test oracles,
+and they still check duality.
 """
 
 from __future__ import annotations
@@ -116,9 +119,8 @@ def _erasure_sets(n: int, r: int) -> np.ndarray:
 
 
 def set_spectra(f: Frame, d: DualFrame, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-Gramian C = Phi^H Psi of a checked dual pair, and the r eigenvalues
-    of C[s, s] for each row s of 0-based ``sets``, CHUNK_SETS rows at a time."""
-    _require_dual(f, d)
+    """Cross-Gramian C = Phi^H Psi of a dual pair, and the r eigenvalues of
+    C[s, s] for each row s of 0-based ``sets``, CHUNK_SETS rows at a time."""
     c = f.synthesis.conj().T @ d.vectors
     out = np.empty(sets.shape, dtype=complex)
     for start in range(0, len(sets), CHUNK_SETS):

@@ -9,8 +9,11 @@ block ordering of the underlying graph.
 
 Every dual is the canonical dual plus one constant shift per component:
 Psi = Psi_canonical + V B^T, with V the k x m matrix of shifts and B the
-n x m component indicator. The canonical dual is computed once per frame
-(``Frame.canonical``) and every shifted dual is built from it.
+n x m component indicator, and a ``DualFrame`` carries both Psi and V. The
+canonical dual is computed once per frame (``Frame.canonical``) and every
+shifted dual is built from it by ``dual_from_params``. Each dual is checked
+once, where it is built: both functions run ``is_dual`` before returning,
+so code that receives a ``DualFrame`` need not check it again.
 """
 
 from __future__ import annotations
@@ -57,29 +60,20 @@ class Frame:
 
     @cached_property
     def canonical(self) -> DualFrame:
-        """The canonical dual, computed once per frame; its vectors are read-only."""
+        """The canonical dual, computed once per frame; its arrays are read-only."""
         dual = canonical_dual(self)
         dual.vectors.flags.writeable = False
+        dual.shifts.flags.writeable = False
         return dual
 
 
 @dataclass(frozen=True)
-class DualParams:
-    """Per-component shift vectors, each of the ambient dimension."""
-
-    shifts: tuple[np.ndarray, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.shifts)
-
-
-@dataclass(frozen=True)
 class DualFrame:
-    """Dual vectors as a k x n matrix; ``params`` is None for external duals."""
+    """Dual vectors as a k x n matrix and their k x m complex shifts V from
+    the canonical dual (column j is component j's shift)."""
 
     vectors: np.ndarray
-    params: DualParams | None = None
+    shifts: np.ndarray
 
 
 class DualityCheck(NamedTuple):
@@ -147,28 +141,25 @@ def canonical_dual(f: Frame) -> DualFrame:
         vectors = np.linalg.solve(s, f.synthesis)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular frame operator") from exc
-    zero = tuple(np.zeros(f.k, dtype=complex) for _ in range(f.layout.m))
-    dual = DualFrame(vectors, DualParams(zero))
+    dual = DualFrame(vectors, np.zeros((f.k, f.layout.m), dtype=complex))
     check = is_dual(f, dual)
     if not check.ok:
         raise ValueError(f"canonical dual residual {check.residual:.3e} above {DUAL_TOL:g}")
     return dual
 
 
-def dual_from_params(f: Frame, params: DualParams) -> DualFrame:
-    """Canonical dual plus one constant shift per component block.
+def dual_from_params(f: Frame, shifts: np.ndarray) -> DualFrame:
+    """Canonical dual plus one constant shift per component block: the k x m
+    ``shifts`` V add column j to every dual vector of block j.
 
     Duality is verified, not assumed; a residual above ``DUAL_TOL`` raises
-    (it signals a shift layout inconsistent with the frame).
+    (a NaN or huge shift is refused there).
     """
-    if params.m != f.layout.m:
-        raise ValueError(f"expected {f.layout.m} shift vectors, got {params.m}")
-    shifts = tuple(np.asarray(nu, dtype=complex).reshape(-1) for nu in params.shifts)
-    for nu in shifts:
-        if nu.shape != (f.k,):
-            raise ValueError(f"each shift must have dimension {f.k}, got {nu.shape}")
+    shifts = np.asarray(shifts, dtype=complex)
+    if shifts.shape != (f.k, f.layout.m):
+        raise ValueError(f"shifts must be {f.k} x {f.layout.m}, got {shifts.shape}")
     block = np.repeat(np.arange(f.layout.m), f.layout.sizes)
-    dual = DualFrame(f.canonical.vectors + np.stack(shifts, axis=1)[:, block], DualParams(shifts))
+    dual = DualFrame(f.canonical.vectors + shifts[:, block], shifts)
     check = is_dual(f, dual)
     if not check.ok:
         raise ValueError(f"duality residual {check.residual:.3e} above {DUAL_TOL:g}")
@@ -206,15 +197,19 @@ def _pairs_to_matrix(pairs, k: int, n: int) -> np.ndarray:
     return flat.reshape(k, n)
 
 
-def frame_to_doc(f: Frame) -> dict:
-    """JSON-ready document; synthesis is row-major [re, im] pairs."""
+def _doc(f: Frame, matrix: np.ndarray) -> dict:
     return {
         "k": f.k,
         "n": f.n,
         "components": list(f.layout.sizes),
-        "synthesis": _matrix_to_pairs(f.synthesis),
+        "synthesis": _matrix_to_pairs(matrix),
         "spectrum": [float(x) for x in f.spectrum],
     }
+
+
+def frame_to_doc(f: Frame) -> dict:
+    """JSON-ready document; synthesis is row-major [re, im] pairs."""
+    return _doc(f, f.synthesis)
 
 
 def frame_from_doc(doc: dict) -> Frame:
@@ -227,15 +222,5 @@ def frame_from_doc(doc: dict) -> Frame:
 
 
 def dual_to_doc(d: DualFrame, f: Frame) -> dict:
-    return {
-        "k": f.k,
-        "n": f.n,
-        "components": list(f.layout.sizes),
-        "synthesis": _matrix_to_pairs(d.vectors),
-        "spectrum": [float(x) for x in f.spectrum],
-    }
-
-
-def dual_from_doc(doc: dict) -> DualFrame:
-    k, n = int(doc["k"]), int(doc["n"])
-    return DualFrame(_pairs_to_matrix(doc["synthesis"], k, n), None)
+    """The frame's document with the dual vectors as its synthesis."""
+    return _doc(f, d.vectors)

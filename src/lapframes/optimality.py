@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .erasure import set_spectra, worst_radius
-from .frames import DualFrame, DualParams, Frame, dual_from_params
+from .frames import DualFrame, Frame, dual_from_params
 from .simplex import nelder_mead
 
 RADIUS_TOL = 1e-9
@@ -44,11 +44,11 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchReport:
-    best_params: DualParams
+    best_params: np.ndarray  # k x m shifts
     best_rho: float
     evaluations: int
     improved: bool
-    near_optima: tuple[tuple[DualParams, float], ...] = ()
+    near_optima: tuple[tuple[np.ndarray, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class OptimalityReport:
     measured: float
     canonical_optimal: bool
     unique: str  # "unique" | "non-unique" | "undetermined"
-    witnesses: tuple[DualParams, ...]
+    witnesses: tuple[np.ndarray, ...]  # k x m shifts
     details: tuple[dict, ...]
     notes: tuple[str, ...] = ()
     extras: dict = field(default_factory=dict)
@@ -134,13 +134,12 @@ def alternate_optimal_dual(f: Frame, r: int) -> DualFrame:
         raise ValueError(
             "degenerate construction: no other component has 2 or more vertices"
         )
-    nu = np.zeros(f.k, dtype=complex)
+    shifts = np.zeros((f.k, f.layout.m), dtype=complex)
     if r == 1:
-        nu[block:] = 1.0
+        shifts[block:, 0] = 1.0
     else:
-        nu[block] = 1.0
-    shifts = (nu,) + tuple(np.zeros(f.k, dtype=complex) for _ in range(f.layout.m - 1))
-    return dual_from_params(f, DualParams(shifts))
+        shifts[block, 0] = 1.0
+    return dual_from_params(f, shifts)
 
 
 def singleton_shift_dual(f: Frame) -> DualFrame:
@@ -156,30 +155,23 @@ def singleton_shift_dual(f: Frame) -> DualFrame:
         j = next(i for i, s in enumerate(sizes) if s == 1)
     except StopIteration:
         raise ValueError("no single-vertex component to shift") from None
-    shifts = [np.zeros(f.k, dtype=complex) for _ in range(f.layout.m)]
-    shifts[j] = np.ones(f.k, dtype=complex)
-    return dual_from_params(f, DualParams(tuple(shifts)))
+    shifts = np.zeros((f.k, f.layout.m), dtype=complex)
+    shifts[:, j] = 1.0
+    return dual_from_params(f, shifts)
 
 
-def params_to_vector(params: DualParams, k: int) -> np.ndarray:
-    """Flatten shifts to [Re nu_1, Im nu_1, Re nu_2, ...] of length 2*m*k."""
-    parts = []
-    for nu in params.shifts:
-        parts.append(np.asarray(nu, dtype=complex).real)
-        parts.append(np.asarray(nu, dtype=complex).imag)
-    return np.concatenate(parts) if parts else np.zeros(0)
+def params_to_vector(shifts: np.ndarray) -> np.ndarray:
+    """Flatten k x m shifts to [Re nu_1, Im nu_1, Re nu_2, ...] of length 2*m*k."""
+    return np.stack([shifts.real.T, shifts.imag.T], axis=1).reshape(-1)
 
 
-def vector_to_params(x: np.ndarray, m: int, k: int) -> DualParams:
+def vector_to_params(x: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The k x m shifts of a flat vector laid out as ``params_to_vector``'s."""
     x = np.asarray(x, dtype=float)
     if x.size != 2 * m * k:
         raise ValueError(f"expected {2 * m * k} parameters, got {x.size}")
-    shifts = []
-    for j in range(m):
-        re = x[2 * j * k:(2 * j + 1) * k]
-        im = x[(2 * j + 1) * k:(2 * j + 2) * k]
-        shifts.append(re + 1j * im)
-    return DualParams(tuple(shifts))
+    parts = x.reshape(m, 2, k)
+    return (parts[:, 0] + 1j * parts[:, 1]).T
 
 
 def search_optimal_dual(f: Frame, r: int, cfg: SearchConfig = SearchConfig()) -> SearchReport:
@@ -281,7 +273,7 @@ def uniqueness_probe(f: Frame, trials: int, seed: int) -> ProbeReport:
         direction = rng.normal(size=f.k) + 1j * rng.normal(size=f.k)
         direction /= np.linalg.norm(direction)
         norm = np.exp(rng.uniform(np.log(lo), np.log(hi)))
-        dual = dual_from_params(f, DualParams((norm * direction,)))
+        dual = dual_from_params(f, (norm * direction)[:, None])
         excess = worst_radius(f, dual, 1).radius - baseline
         min_excess = min(min_excess, excess)
         if excess <= -PROBE_SLACK:
@@ -320,7 +312,7 @@ def verify_order(f: Frame, r: int, *, seed: int = 0) -> OptimalityReport:
     details = [_detail(f"order-{r} canonical radius", predicted, measured, RADIUS_TOL)]
     notes: list[str] = []
     extras: dict = {"witness": list(result.witness.indices)}
-    witnesses: list[DualParams] = [canon.params]
+    witnesses: list[np.ndarray] = [canon.shifts]
 
     sizes = f.layout.sizes
     offsets = f.layout.offsets
@@ -379,7 +371,7 @@ def verify_order(f: Frame, r: int, *, seed: int = 0) -> OptimalityReport:
                 "pass": distance >= 1e-3,
             }
         )
-        witnesses.append(alternate.params)
+        witnesses.append(alternate.shifts)
         unique = "non-unique" if all(item["pass"] for item in details[-2:]) else "undetermined"
 
     return OptimalityReport(

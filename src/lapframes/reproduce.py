@@ -14,7 +14,6 @@ import numpy as np
 
 from .erasure import ErasureSet, error_operator, reduced_error_matrix, worst_radius
 from .frames import (
-    DualParams,
     Frame,
     dual_from_params,
     frame_from_graph,
@@ -63,7 +62,8 @@ EXPECTED_CANONICAL_VECTORS = np.array(
     dtype=complex,
 )
 
-SHIFT_PARAMS = ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
+# k x m shifts V of the shifted dual: first-block shift (0, 0, 1), none on the second.
+SHIFTS = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 # Frozen 2-erasure error operators of the canonical dual for the explicit
 # frame, keyed by erasure set.
@@ -154,7 +154,7 @@ def run_reproduction(tol: float | None = None) -> dict:
                          0.0 if rho1.witness.indices == (1,) else 1.0, t))
     rho2 = worst_radius(frame, canon, 2)
     checks.append(_check("pipeline: order-2 canonical radius is 1", abs(rho2.radius - 1.0), t))
-    shifted = dual_from_params(frame, DualParams(tuple(np.array(s, dtype=complex) for s in SHIFT_PARAMS)))
+    shifted = dual_from_params(frame, SHIFTS)
     checks.append(_check("pipeline: shifted dual ties order-1 at 2/3",
                          abs(worst_radius(frame, shifted, 1).radius - 2 / 3), t))
     checks.append(_check("pipeline: shifted dual ties order-2 at 1",
@@ -170,7 +170,7 @@ def run_reproduction(tol: float | None = None) -> dict:
     ecanon = ef.canonical
     checks.append(_check("explicit: canonical dual matches the reference vectors",
                          _max_abs(ecanon.vectors, EXPECTED_CANONICAL_VECTORS), t))
-    eshift = dual_from_params(ef, DualParams(tuple(np.array(s, dtype=complex) for s in SHIFT_PARAMS)))
+    eshift = dual_from_params(ef, SHIFTS)
 
     worst_ops = 0.0
     worst_radii = 0.0

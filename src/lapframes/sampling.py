@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import DualParams, Frame
+from .frames import Frame
 from .graph import Graph, components
+from .optimality import vector_to_params
 
 
 def random_graph(n: int, rng: np.random.Generator, p: float = 0.5) -> Graph:
@@ -98,10 +99,8 @@ def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_dual_params(f: Frame, rng: np.random.Generator, scale: float = 10.0) -> DualParams:
-    """Shifts with real and imaginary parts uniform in [-scale, scale]."""
-    shifts = tuple(
-        rng.uniform(-scale, scale, f.k) + 1j * rng.uniform(-scale, scale, f.k)
-        for _ in range(f.layout.m)
-    )
-    return DualParams(shifts)
+def random_dual_params(f: Frame, rng: np.random.Generator, scale: float = 10.0) -> np.ndarray:
+    """k x m shifts with real and imaginary parts uniform in [-scale, scale],
+    drawn in ``params_to_vector`` order."""
+    m, k = f.layout.m, f.k
+    return vector_to_params(rng.uniform(-scale, scale, 2 * m * k), m, k)

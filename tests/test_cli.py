@@ -198,6 +198,36 @@ def test_search_bad_input_exits_2(capsys, tmp_path, text, argv):
     assert "Traceback" not in err
 
 
+GOOD_PARAMS = b"[[[0, 0], [0, 0], [1, 0]], [[0, 0], [0, 0], [0, 0]]]"
+
+
+@pytest.mark.parametrize("graph, params, argv", [
+    (K3K2_TEXT.encode(), b"[[[0, 0], [0, 0], [1, 0]]]", ["dual", "g.el", "--params", "p.json"]),
+    (K3K2_TEXT.encode(), b"[[[0, 0], [1, 0]], [[0, 0], [0, 0], [0, 0]]]",
+     ["rho", "g.el", "-r", "2", "--params", "p.json"]),
+    (K3K2_TEXT.encode(), b"[[1, [0, 0], [1, 0]], [[0, 0], [0, 0], [0, 0]]]",
+     ["dual", "g.el", "--params", "p.json"]),
+    (K3K2_TEXT.encode(), b"[[[NaN, 0], [0, 0], [1, 0]], [[0, 0], [0, 0], [0, 0]]]",
+     ["rho", "g.el", "-r", "1", "--params", "p.json"]),
+    (K3K2_TEXT.encode(), GOOD_PARAMS[:-3] + b"\xff]]", ["dual", "g.el", "--params", "p.json"]),
+    (K3K2_TEXT.encode() + b"# \xff\n", GOOD_PARAMS, ["build", "g.el"]),
+    (K3K2_TEXT.encode(), GOOD_PARAMS, ["build", "g.el", "--output", "missing/x.json"]),
+    (K3K2_TEXT.encode(), GOOD_PARAMS, ["reproduce", "--output", "missing/x.txt"]),
+    (K3K2_TEXT.encode(), GOOD_PARAMS, ["reproduce", "--json", "--output", "missing/x.json"]),
+], ids=["params-count", "params-dimension", "params-non-pair", "params-nan", "params-non-utf8",
+        "edge-list-non-utf8", "build-unwritable-output", "reproduce-unwritable-output",
+        "reproduce-json-unwritable-output"])
+def test_input_failures_exit_2(capsys, tmp_path, monkeypatch, graph, params, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.el").write_bytes(graph)
+    (tmp_path / "p.json").write_bytes(params)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_reproduce_all_pass(capsys):
     code, out, _ = run(capsys, "reproduce")
     assert code == 0

@@ -18,12 +18,12 @@ from lapframes import (
     worst_radius,
 )
 from lapframes.erasure import TIE_TOL, EnumerationCapError, erasure_reports
-from lapframes.frames import DualFrame, DualParams
+from lapframes.frames import DualFrame
 from lapframes.reproduce import (
     CANONICAL_OPERATORS,
     EXPECTED_RADII,
-    SHIFT_PARAMS,
     SHIFTED_OPERATORS,
+    SHIFTS,
     explicit_frame,
 )
 from lapframes.sampling import random_dual_params, random_graph, random_unitary
@@ -38,9 +38,7 @@ def explicit():
 
 
 def shifted_dual(f):
-    return dual_from_params(
-        f, DualParams(tuple(np.array(s, dtype=complex) for s in SHIFT_PARAMS))
-    )
+    return dual_from_params(f, SHIFTS)
 
 
 def test_erasure_set_validation():
@@ -78,7 +76,7 @@ def test_error_operator_full_set_is_identity(explicit):
 
 def test_error_operator_rejects_non_dual(explicit):
     f, canon = explicit
-    broken = DualFrame(2.0 * canon.vectors)
+    broken = DualFrame(2.0 * canon.vectors, canon.shifts)
     with pytest.raises(ValueError, match="non-dual"):
         error_operator(f, broken, ErasureSet((1,)))
 
@@ -245,7 +243,7 @@ def test_worst_radius_unitary_invariance(k3k2_frame, k3k2_canonical):
     for _ in range(5):
         u = random_unitary(3, rng)
         fu = apply_unitary(k3k2_frame, u)
-        du = DualFrame(u @ k3k2_canonical.vectors)
+        du = dual_from_params(fu, u @ k3k2_canonical.shifts)
         assert abs(worst_radius(fu, du, 1).radius - base1) <= 1e-8
         assert abs(worst_radius(fu, du, 2).radius - base2) <= 1e-8
 

@@ -5,12 +5,10 @@ import pytest
 
 from lapframes import (
     DualFrame,
-    DualParams,
     Graph,
     apply_unitary,
     canonical_dual,
     components,
-    dual_from_doc,
     dual_from_params,
     dual_to_doc,
     frame_bounds,
@@ -113,12 +111,13 @@ def test_canonical_memo_and_synthesis_are_read_only(k3k2_frame):
     with pytest.raises(ValueError, match="read-only"):
         k3k2_frame.canonical.vectors[0, 0] = 1
     with pytest.raises(ValueError, match="read-only"):
+        k3k2_frame.canonical.shifts[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
         k3k2_frame.synthesis[0, 0] = 1
 
 
 def test_dual_from_params_zero_is_canonical(k3k2_frame):
-    zero = DualParams(tuple(np.zeros(3, dtype=complex) for _ in range(2)))
-    dual = dual_from_params(k3k2_frame, zero)
+    dual = dual_from_params(k3k2_frame, np.zeros((3, 2)))
     assert np.allclose(dual.vectors, canonical_dual(k3k2_frame).vectors)
 
 
@@ -127,7 +126,7 @@ def test_dual_from_params_explicit_shift_family():
     f = explicit_frame()
     nu1 = np.array([1.0 + 0.5j, -2.0, 0.25j])
     nu2 = np.array([0.0, 3.0, -1.0 - 1.0j])
-    dual = dual_from_params(f, DualParams((nu1, nu2)))
+    dual = dual_from_params(f, np.stack([nu1, nu2], axis=1))
     canon = canonical_dual(f).vectors
     assert np.allclose(dual.vectors[:, :3], canon[:, :3] + nu1[:, None])
     assert np.allclose(dual.vectors[:, 3:], canon[:, 3:] + nu2[:, None])
@@ -136,22 +135,17 @@ def test_dual_from_params_explicit_shift_family():
 
 def test_dual_from_params_reference_shift():
     f = explicit_frame()
-    dual = dual_from_params(
-        f, DualParams((np.array([0, 0, 1], dtype=complex), np.zeros(3, dtype=complex)))
-    )
+    dual = dual_from_params(f, np.array([[0, 0], [0, 0], [1, 0]], dtype=complex))
     expected = EXPECTED_CANONICAL_VECTORS.copy()
     expected[2, :3] += 1.0
     assert np.max(np.abs(dual.vectors - expected)) <= 1e-12
 
 
 def test_dual_from_params_validates_layout(k3k2_frame):
-    with pytest.raises(ValueError, match="expected 2 shift vectors"):
-        dual_from_params(k3k2_frame, DualParams((np.zeros(3, dtype=complex),)))
-    with pytest.raises(ValueError, match="dimension 3"):
-        dual_from_params(
-            k3k2_frame,
-            DualParams((np.zeros(2, dtype=complex), np.zeros(3, dtype=complex))),
-        )
+    with pytest.raises(ValueError, match=r"shifts must be 3 x 2, got \(3, 1\)"):
+        dual_from_params(k3k2_frame, np.zeros((3, 1), dtype=complex))
+    with pytest.raises(ValueError, match=r"shifts must be 3 x 2, got \(2, 2\)"):
+        dual_from_params(k3k2_frame, np.zeros((2, 2), dtype=complex))
 
 
 def test_random_shifts_always_dual(k3k2_frame):
@@ -162,16 +156,32 @@ def test_random_shifts_always_dual(k3k2_frame):
         assert check.ok and check.residual <= 1e-8
 
 
+def test_shifted_dual_commutes_with_unitary():
+    # canonical(U Phi) = U canonical(Phi), so shifting by U V gives U Psi
+    rng = np.random.default_rng(29)
+    done = 0
+    while done < 20:
+        g = random_graph(int(rng.integers(2, 9)), rng)
+        if g.edge_count == 0:
+            continue
+        f = frame_from_graph(g)
+        u = random_unitary(f.k, rng)
+        for d in (f.canonical, dual_from_params(f, random_dual_params(f, rng))):
+            mapped = dual_from_params(apply_unitary(f, u), u @ d.shifts)
+            assert np.max(np.abs(mapped.vectors - u @ d.vectors)) <= 1e-9
+        done += 1
+
+
 def test_is_dual_detects_broken_dual(k3k2_frame, k3k2_canonical):
     broken = k3k2_canonical.vectors.copy()
     broken[:, 0] = 0
-    check = is_dual(k3k2_frame, DualFrame(broken))
+    check = is_dual(k3k2_frame, DualFrame(broken, k3k2_canonical.shifts))
     assert not check.ok
 
 
 def test_is_dual_dimension_mismatch(k3k2_frame):
     with pytest.raises(ValueError, match="mismatch"):
-        is_dual(k3k2_frame, DualFrame(np.zeros((2, 5), dtype=complex)))
+        is_dual(k3k2_frame, DualFrame(np.zeros((2, 5), dtype=complex), np.zeros((2, 2))))
 
 
 def test_apply_unitary_identity_and_flip(k3k2_frame, edge_frame):
@@ -262,6 +272,9 @@ def test_json_round_trip_is_lossless(k3k2_frame, k3k2_canonical):
     assert back.layout.sizes == k3k2_frame.layout.sizes
 
     ddoc = json.loads(json.dumps(dual_to_doc(k3k2_canonical, k3k2_frame)))
-    dback = dual_from_doc(ddoc)
-    assert np.array_equal(dback.vectors, k3k2_canonical.vectors)
-    assert dback.params is None
+    assert list(ddoc) == list(doc)
+    assert {key: ddoc[key] for key in ddoc if key != "synthesis"} == {
+        key: doc[key] for key in doc if key != "synthesis"
+    }
+    dback = np.array([complex(re, im) for re, im in ddoc["synthesis"]]).reshape(3, 5)
+    assert np.array_equal(dback, k3k2_canonical.vectors)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lapframes import (
-    DualFrame,
     SearchBudgetError,
     SearchConfig,
     alternate_optimal_dual,
@@ -20,8 +19,8 @@ from lapframes import (
     verify_order,
     worst_radius,
 )
-from lapframes import frames
-from lapframes.frames import DualParams, Frame
+from lapframes import erasure, frames
+from lapframes.frames import Frame
 from lapframes.optimality import params_to_vector, vector_to_params
 from lapframes.sampling import (
     random_connected_graph,
@@ -55,16 +54,15 @@ def test_check_uniform_diagonal(k3_frame, k3k2_frame, k3k2_canonical):
     assert check_uniform_diagonal(k3_frame, canonical_dual(k3_frame))
     assert not check_uniform_diagonal(k3k2_frame, k3k2_canonical)
     basis = Frame(2, 2, np.eye(2, dtype=complex), contiguous_decomposition((2,)), np.ones(2))
-    assert check_uniform_diagonal(basis, DualFrame(np.eye(2, dtype=complex)))
+    assert check_uniform_diagonal(basis, basis.canonical)
 
 
 def test_alternate_dual_matches_reference_shift(k3k2_frame, k3k2_canonical):
     # first block spans rows 1-2, so both constructions shift along row 3
     for r in (1, 2):
         alt = alternate_optimal_dual(k3k2_frame, r)
-        nu1 = alt.params.shifts[0]
-        assert np.allclose(nu1, [0.0, 0.0, 1.0])
-        assert np.allclose(alt.params.shifts[1], 0.0)
+        assert np.allclose(alt.shifts[:, 0], [0.0, 0.0, 1.0])
+        assert np.allclose(alt.shifts[:, 1], 0.0)
         assert abs(worst_radius(k3k2_frame, alt, 1).radius - 2 / 3) <= 1e-9
         assert abs(worst_radius(k3k2_frame, alt, 2).radius - 1.0) <= 1e-9
         distance = np.max(np.linalg.norm(alt.vectors - k3k2_canonical.vectors, axis=0))
@@ -111,21 +109,21 @@ def test_uniqueness_probe_rejects_disconnected(k3k2_frame):
 
 
 def test_params_vector_round_trip():
-    params = DualParams(
-        (np.array([1 + 2j, 3.0, -1j]), np.array([0.5, -0.25j, 2 - 2j]))
+    shifts = np.stack(
+        [np.array([1 + 2j, 3.0, -1j]), np.array([0.5, -0.25j, 2 - 2j])], axis=1
     )
-    x = params_to_vector(params, 3)
-    assert x.shape == (12,)
+    x = params_to_vector(shifts)
+    # [Re nu_1, Im nu_1, Re nu_2, Im nu_2]
+    assert np.array_equal(x, [1, 3, 0, 2, 0, -1, 0.5, 0, 2, 0, -0.25, -2])
     back = vector_to_params(x, 2, 3)
-    for a, b in zip(back.shifts, params.shifts):
-        assert np.allclose(a, b)
+    assert np.array_equal(back, shifts)
 
 
 def test_search_connected_no_improvement(k3_frame):
     report = search_optimal_dual(k3_frame, 1)
     assert not report.improved
     assert abs(report.best_rho - 2 / 3) <= 1e-6
-    assert np.linalg.norm(params_to_vector(report.best_params, k3_frame.k)) <= 1e-3
+    assert np.linalg.norm(params_to_vector(report.best_params)) <= 1e-3
     assert len(report.near_optima) == 1  # origin only: the optimum is unique
 
 
@@ -134,7 +132,7 @@ def test_search_disconnected_finds_ties(k3k2_frame):
     assert not report.improved
     assert abs(report.best_rho - 2 / 3) <= 1e-6
     assert len(report.near_optima) >= 2
-    vectors = [params_to_vector(p, k3k2_frame.k) for p, _ in report.near_optima]
+    vectors = [params_to_vector(p) for p, _ in report.near_optima]
     assert all(
         np.linalg.norm(vectors[i] - vectors[j]) >= 1e-2
         for i in range(len(vectors))
@@ -172,6 +170,22 @@ def test_search_computes_canonical_dual_once(monkeypatch, k3k2_frame):
     report = search_optimal_dual(k3k2_frame, 1, SearchConfig())
     assert report.evaluations > 1
     assert len(calls) == 1 and calls[0] is k3k2_frame
+
+
+def test_search_checks_each_dual_once(monkeypatch, k3k2_frame):
+    # one check for the canonical dual, one per shifted dual the search builds
+    calls = []
+    check = frames.is_dual
+
+    def counted(f, d, *args):
+        calls.append(d)
+        return check(f, d, *args)
+
+    monkeypatch.setattr(frames, "is_dual", counted)
+    monkeypatch.setattr(erasure, "is_dual", counted)
+    report = search_optimal_dual(k3k2_frame, 1, SearchConfig())
+    assert report.evaluations > 1
+    assert len(calls) == report.evaluations + 1
 
 
 def test_connected_law_sample():
@@ -241,7 +255,7 @@ def test_optimality_status_invariant_under_unitary(k3k2_frame, k3k2_canonical):
     fu = apply_unitary(k3k2_frame, u)
     alt = alternate_optimal_dual(k3k2_frame, 1)
     for dual in (k3k2_canonical, alt):
-        du = DualFrame(u @ dual.vectors)
+        du = dual_from_params(fu, u @ dual.shifts)
         for r in (1, 2):
             assert abs(
                 worst_radius(fu, du, r).radius - worst_radius(k3k2_frame, dual, r).radius
@@ -290,5 +304,5 @@ def test_probe_formula_on_single_edge(edge_frame):
     # shifting the canonical dual (1/2, -1/2) by a real t gives pairings
     # 1/2 + t and 1/2 - t, so the worst radius is exactly 1/2 + |t|
     for t in (0.2, -0.7, 1.5):
-        dual = dual_from_params(edge_frame, DualParams((np.array([t], dtype=complex),)))
+        dual = dual_from_params(edge_frame, np.array([[t]]))
         assert abs(worst_radius(edge_frame, dual, 1).radius - (0.5 + abs(t))) <= 1e-12
