@@ -1,6 +1,6 @@
 """Frames from graph Laplacians: duals, erasure radii, and optimality checks."""
 
-from .erasure import ErasureReport, ErasureSet, erasure_report, error_operator, reduced_error_matrix, worst_radius
+from .erasure import ErasureReport, ErasureSet, error_operator, reduced_error_matrix, worst_radius
 from .frames import (
     DUAL_TOL,
     DualFrame,
@@ -44,8 +44,6 @@ from .optimality import (
     SearchReport,
     OptimalityReport,
     alternate_optimal_dual,
-    check_uniform_diagonal,
-    diagonal_couplings,
     predicted_worst_radius,
     search_optimal_dual,
     singleton_shift_dual,

@@ -59,6 +59,13 @@ def _check_order(frame: Frame, r: int) -> None:
         raise InputError(f"-r must be in [1, {frame.n - 1}] for this graph, got {r}{need}")
 
 
+def _real(x):
+    """A JSON number; ``complex`` alone would also take a boolean as 0 or 1."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a real number")
+    return x
+
+
 def _load_dual(path: str, frame: Frame) -> DualFrame:
     """The dual whose shifts V are in ``path``: a JSON list of V's m columns,
     each a list of k [re, im] pairs."""
@@ -69,8 +76,8 @@ def _load_dual(path: str, frame: Frame) -> DualFrame:
     if not isinstance(raw, list) or len(raw) != frame.layout.m:
         raise InputError(f"expected a JSON list of {frame.layout.m} shift vectors")
     try:
-        columns = [[complex(re, im) for re, im in entry] for entry in raw]
-    except (TypeError, ValueError) as exc:
+        columns = [[complex(_real(re), _real(im)) for re, im in entry] for entry in raw]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"each shift must be a list of [re, im] pairs: {exc}") from exc
     for column in columns:
         if len(column) != frame.k:
@@ -143,7 +150,7 @@ def cmd_rho(args) -> int:
         "witness": list(result.witness.indices),
     }
     if args.verbose:
-        payload["reports"] = [rep.to_doc() for rep in erasure_reports(frame, dual, args.r)]
+        payload["reports"] = [rep.to_doc() for rep in erasure_reports(result, frame.k)]
     _emit(payload, args.output)
     return 0
 
@@ -154,8 +161,7 @@ def cmd_verify(args) -> int:
         _check_order(frame, args.r)
     orders = [args.r] if args.r else [r for r in (1, 2) if r < frame.n]
     reports = []
-    for r in orders:
-        rep = verify_order(frame, r, seed=args.seed)
+    for rep in verify_order(frame, orders, seed=args.seed):
         reports.append({
             "r": rep.r,
             "predicted": rep.predicted,

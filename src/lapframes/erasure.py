@@ -3,11 +3,13 @@
 An erasure set L's error operator is the k x k map assembled from the erased
 dual and frame columns. Its nonzero spectrum is that of the r x r principal
 submatrix C[L, L] of the cross-Gramian C = Phi^H Psi, so all radii come from
-one C, in stacks of CHUNK_SETS submatrices. Every ``DualFrame`` was checked
-where it was built (``Frame.canonical`` or ``dual_from_params``), so the
-radius kernel does not check it again. ``error_operator`` and
-``reduced_error_matrix`` build one set's matrices directly, as test oracles,
-and they still check duality.
+one C, in stacks of CHUNK_SETS submatrices. ``worst_radius`` makes that one
+pass per (dual, r) and returns it whole (C, the sets and their spectra):
+``erasure_reports`` formats it for ``rho -v`` and ``verify_order`` reads the
+optimality laws from it. Every ``DualFrame`` was checked where it was built
+(``Frame.canonical`` or ``dual_from_params``), so the radius kernel does not
+check it again. ``error_operator`` and ``reduced_error_matrix`` build one
+set's matrices directly, as test oracles, and they still check duality.
 """
 
 from __future__ import annotations
@@ -76,8 +78,15 @@ class ErasureReport:
 
 
 class RhoResult(NamedTuple):
+    """The worst radius of one (dual, r) pass and everything the pass holds:
+    C = Phi^H Psi, the N x r 0-based ``sets`` in lexicographic order, and the
+    N x r ``spectra`` of their principal submatrices C[s, s]."""
+
     radius: float
     witness: ErasureSet
+    c: np.ndarray
+    sets: np.ndarray
+    spectra: np.ndarray
 
 
 def _check_lam(f: Frame, lam: ErasureSet) -> np.ndarray:
@@ -118,46 +127,33 @@ def _erasure_sets(n: int, r: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.intp, count=total * r).reshape(total, r)
 
 
-def set_spectra(f: Frame, d: DualFrame, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-Gramian C = Phi^H Psi of a dual pair, and the r eigenvalues of
-    C[s, s] for each row s of 0-based ``sets``, CHUNK_SETS rows at a time."""
-    c = f.synthesis.conj().T @ d.vectors
-    out = np.empty(sets.shape, dtype=complex)
-    for start in range(0, len(sets), CHUNK_SETS):
-        idx = sets[start:start + CHUNK_SETS]
-        out[start:start + len(idx)] = small_complex_eigenvalues(c[idx[:, :, None], idx[:, None, :]])
-    return c, out
-
-
-def _reports(f: Frame, d: DualFrame, sets: np.ndarray) -> list[ErasureReport]:
-    c, spectra = set_spectra(f, d, sets)
+def erasure_reports(result: RhoResult, k: int) -> list[ErasureReport]:
+    """Reports for every set of a radius pass, in its lexicographic order, each
+    spectrum sorted by magnitude and padded or cut to k entries."""
     reports = []
-    for cols, eigs in zip(sets, spectra):
+    for cols, eigs in zip(result.sets, result.spectra):
         by_mag = eigs[np.argsort(-np.abs(eigs), kind="stable")]
-        spectrum = np.concatenate([by_mag, np.zeros(f.k, dtype=complex)])[:f.k]
+        spectrum = np.concatenate([by_mag, np.zeros(k, dtype=complex)])[:k]
         lam = ErasureSet(tuple(int(i) + 1 for i in cols))
-        reports.append(ErasureReport(lam, c[np.ix_(cols, cols)], spectrum, float(np.max(np.abs(eigs)))))
+        reports.append(ErasureReport(lam, result.c[np.ix_(cols, cols)], spectrum, float(np.max(np.abs(eigs)))))
     return reports
-
-
-def erasure_report(f: Frame, d: DualFrame, lam: ErasureSet) -> ErasureReport:
-    return _reports(f, d, _check_lam(f, lam)[None])[0]
-
-
-def erasure_reports(f: Frame, d: DualFrame, r: int) -> list[ErasureReport]:
-    """Reports for all C(n, r) erasure sets, in lexicographic order."""
-    return _reports(f, d, _erasure_sets(f.n, r))
 
 
 def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
     """Maximum error-operator spectral radius over all erasure sets of size r.
 
-    Enumerates all C(n, r) sets; the witness is the lexicographically
+    Enumerates all C(n, r) sets once and takes the r eigenvalues of each
+    C[s, s], CHUNK_SETS sets at a time; the witness is the lexicographically
     smallest set whose radius is within ``TIE_TOL`` of the maximum, so the
     result is independent of evaluation order.
     """
     sets = _erasure_sets(f.n, r)
-    radii = np.max(np.abs(set_spectra(f, d, sets)[1]), axis=1)
+    c = f.synthesis.conj().T @ d.vectors
+    spectra = np.empty(sets.shape, dtype=complex)
+    for start in range(0, len(sets), CHUNK_SETS):
+        idx = sets[start:start + CHUNK_SETS]
+        spectra[start:start + len(idx)] = small_complex_eigenvalues(c[idx[:, :, None], idx[:, None, :]])
+    radii = np.max(np.abs(spectra), axis=1)
     best = float(np.max(radii))
     witness = sets[np.argmax(radii >= best - TIE_TOL)]
-    return RhoResult(best, ErasureSet(tuple(int(i) + 1 for i in witness)))
+    return RhoResult(best, ErasureSet(tuple(int(i) + 1 for i in witness)), c, sets, spectra)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import ComponentDecomposition, Graph, components, contiguous_decomposition, laplacian
-from .linalg import EIG_TOL, ZERO_TOL, hermitian_eigenvalues, symmetric_eig
+from .linalg import ZERO_TOL, hermitian_eigenvalues, symmetric_eig
 
 DUAL_TOL = 1e-8
 UNITARY_TOL = 1e-9
@@ -81,7 +81,7 @@ class DualityCheck(NamedTuple):
     residual: float
 
 
-def frame_from_graph(g: Graph, *, eig_tol: float = EIG_TOL, zero_tol: float = ZERO_TOL) -> Frame:
+def frame_from_graph(g: Graph) -> Frame:
     """Build the Laplacian frame of a graph, one component block at a time.
 
     Each component of size s contributes an (s-1) x s block; single-vertex
@@ -101,7 +101,7 @@ def frame_from_graph(g: Graph, *, eig_tol: float = EIG_TOL, zero_tol: float = ZE
         if size == 1:
             continue
         idx = np.asarray(block) - 1
-        dec = symmetric_eig(lap[np.ix_(idx, idx)], 1, eig_tol=eig_tol, zero_tol=zero_tol)
+        dec = symmetric_eig(lap[np.ix_(idx, idx)], 1)
         lam = dec.values[: size - 1]
         m1 = dec.vectors[:, : size - 1]
         col = decomp.offsets[j]
@@ -122,12 +122,12 @@ def frame_operator(f: Frame) -> np.ndarray:
     return f.synthesis @ f.synthesis.conj().T
 
 
-def frame_bounds(f: Frame, *, zero_tol: float = ZERO_TOL) -> tuple[float, float]:
+def frame_bounds(f: Frame) -> tuple[float, float]:
     """(lower, upper) frame bounds: extreme eigenvalues of the frame operator."""
     values = hermitian_eigenvalues(frame_operator(f))
     lower, upper = float(values[-1]), float(values[0])
-    if lower <= zero_tol:
-        raise ValueError(f"not a frame: lower bound {lower:.3e} <= {zero_tol:g}")
+    if lower <= ZERO_TOL:
+        raise ValueError(f"not a frame: lower bound {lower:.3e} <= {ZERO_TOL:g}")
     return lower, upper
 
 
@@ -166,22 +166,22 @@ def dual_from_params(f: Frame, shifts: np.ndarray) -> DualFrame:
     return dual
 
 
-def is_dual(f: Frame, d: DualFrame, tol: float = DUAL_TOL) -> DualityCheck:
+def is_dual(f: Frame, d: DualFrame) -> DualityCheck:
     """Check the reconstruction identity: dual synthesis times frame analysis."""
     if d.vectors.shape != f.synthesis.shape:
         raise ValueError(
             f"dimension mismatch: dual {d.vectors.shape} vs frame {f.synthesis.shape}"
         )
     residual = float(np.max(np.abs(d.vectors @ f.synthesis.conj().T - np.eye(f.k))))
-    return DualityCheck(residual <= tol, residual)
+    return DualityCheck(residual <= DUAL_TOL, residual)
 
 
-def apply_unitary(f: Frame, u, *, unitary_tol: float = UNITARY_TOL) -> Frame:
+def apply_unitary(f: Frame, u) -> Frame:
     """Map every frame vector through a unitary; the Gramian is unchanged."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (f.k, f.k):
         raise ValueError(f"unitary must be {f.k} x {f.k}, got {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(f.k))) > unitary_tol:
+    if np.max(np.abs(u.conj().T @ u - np.eye(f.k))) > UNITARY_TOL:
         raise ValueError("matrix is not unitary within tolerance")
     return Frame(f.k, f.n, u @ f.synthesis, f.layout, f.spectrum)
 

@@ -50,20 +50,14 @@ def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def symmetric_eig(
-    a,
-    expected_zero_count: int,
-    *,
-    eig_tol: float = EIG_TOL,
-    zero_tol: float = ZERO_TOL,
-) -> EigenDecomposition:
+def symmetric_eig(a, expected_zero_count: int) -> EigenDecomposition:
     """Eigendecompose a real symmetric matrix with a known kernel dimension.
 
     The ``expected_zero_count`` smallest-magnitude eigenvalues must each be
-    below ``zero_tol`` in magnitude and are clamped to exactly 0; a
+    below ``ZERO_TOL`` in magnitude and are clamped to exactly 0; a
     near-zero eigenvalue outside that set raises (wrong structural count or
     ill-conditioned input). Reconstruction and orthonormality residuals are
-    verified against ``eig_tol``.
+    verified against ``EIG_TOL``.
     """
     a = np.asarray(a)
     if np.iscomplexobj(a):
@@ -88,11 +82,11 @@ def symmetric_eig(
     zero_idx = by_magnitude[:expected_zero_count]
     rest_idx = by_magnitude[expected_zero_count:]
     for i in zero_idx:
-        if abs(values[i]) >= zero_tol:
+        if abs(values[i]) >= ZERO_TOL:
             raise ValueError(
-                f"eigenvalue {values[i]:.3e} expected to be zero has magnitude >= {zero_tol:g}"
+                f"eigenvalue {values[i]:.3e} expected to be zero has magnitude >= {ZERO_TOL:g}"
             )
-    if rest_idx.size and abs(values[rest_idx[0]]) < zero_tol:
+    if rest_idx.size and abs(values[rest_idx[0]]) < ZERO_TOL:
         raise ValueError(
             f"found more near-zero eigenvalues than the expected {expected_zero_count}"
         )
@@ -106,9 +100,9 @@ def symmetric_eig(
     recon = vectors @ np.diag(values) @ vectors.T
     recon_res = float(np.max(np.abs(a - recon))) if n else 0.0
     orth_res = float(np.max(np.abs(vectors.T @ vectors - np.eye(n)))) if n else 0.0
-    if recon_res > eig_tol or orth_res > eig_tol:
+    if recon_res > EIG_TOL or orth_res > EIG_TOL:
         raise ConvergenceError(
-            f"eigendecomposition residuals above {eig_tol:g}: reconstruction {recon_res:.3e}, "
+            f"eigendecomposition residuals above {EIG_TOL:g}: reconstruction {recon_res:.3e}, "
             f"orthonormality {orth_res:.3e}"
         )
     return EigenDecomposition(values, vectors, expected_zero_count)
@@ -139,7 +133,7 @@ def _eig_2x2(a: np.ndarray) -> np.ndarray:
     return np.stack([lam1, lam2], axis=-1)
 
 
-def small_complex_eigenvalues(a, *, eig_tol: float = EIG_TOL) -> np.ndarray:
+def small_complex_eigenvalues(a) -> np.ndarray:
     """All eigenvalues (with multiplicity) of a small complex matrix, or of each
     matrix in a stack of shape (..., r, r); the result has shape (..., r).
 
@@ -167,15 +161,15 @@ def small_complex_eigenvalues(a, *, eig_tol: float = EIG_TOL) -> np.ndarray:
         raise ConvergenceError(f"eigvals failed on order {r}: {exc}") from exc
     residuals = np.abs(np.linalg.det(a[..., None, :, :] - eigs[..., None, None] * np.eye(r)))
     scales = (np.linalg.norm(a, axis=(-2, -1))[..., None] + np.abs(eigs) + 1.0) ** r
-    bad = residuals > eig_tol * scales
+    bad = residuals > EIG_TOL * scales
     if np.any(bad):
         raise ConvergenceError(
-            f"characteristic polynomial residual above {eig_tol:g} at root {eigs[bad][0]}"
+            f"characteristic polynomial residual above {EIG_TOL:g} at root {eigs[bad][0]}"
         )
     return eigs
 
 
-def spectral_radius(a, *, eig_tol: float = EIG_TOL) -> float:
+def spectral_radius(a) -> float:
     """Largest eigenvalue magnitude of a square complex matrix."""
-    eigs = small_complex_eigenvalues(a, eig_tol=eig_tol)
+    eigs = small_complex_eigenvalues(a)
     return float(np.max(np.abs(eigs)))

@@ -3,7 +3,10 @@
 Closed-form predictions for the canonical dual's worst-case radii, explicit
 alternate optimal duals for multi-component graphs, a derivative-free search
 over the whole dual family, and a strictness probe that certifies uniqueness
-for single-component graphs.
+for single-component graphs. ``verify_order`` reads each order's
+per-component laws from the canonical dual's radius pass (``worst_radius``
+returns C's principal-submatrix spectra), and runs the order-independent
+probe once per call.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .erasure import set_spectra, worst_radius
+from .erasure import worst_radius
 from .frames import DualFrame, Frame, dual_from_params
 from .simplex import nelder_mead
 
@@ -55,7 +58,6 @@ class SearchReport:
 class ProbeReport:
     min_excess: float
     violations: int
-    trials: int
 
 
 @dataclass(frozen=True)
@@ -92,24 +94,6 @@ def predicted_worst_radius(f: Frame, r: int) -> float:
             raise ValueError("order-2 prediction needs a component with at least 2 vertices")
         return 1.0
     raise ValueError(f"no closed-form prediction for erasure order {r}")
-
-
-def diagonal_couplings(f: Frame, d: DualFrame) -> np.ndarray:
-    """The n pairings of each dual vector against its own frame vector."""
-    return np.sum(f.synthesis.conj() * d.vectors, axis=0)
-
-
-def check_uniform_diagonal(f: Frame, d: DualFrame, *, tol: float = RADIUS_TOL) -> bool:
-    """True iff every |pairing| equals k/n; cross-checked against the order-1 radius."""
-    target = f.k / f.n
-    uniform = bool(np.all(np.abs(np.abs(diagonal_couplings(f, d)) - target) <= tol))
-    if uniform:
-        rho1 = worst_radius(f, d, 1).radius
-        if abs(rho1 - target) > tol:
-            raise RuntimeError(
-                f"uniform pairings but order-1 radius {rho1!r} differs from k/n={target!r}"
-            )
-    return uniform
 
 
 def alternate_optimal_dual(f: Frame, r: int) -> DualFrame:
@@ -254,22 +238,21 @@ def search_optimal_dual(f: Frame, r: int, cfg: SearchConfig = SearchConfig()) ->
     return finalize()
 
 
-def uniqueness_probe(f: Frame, trials: int, seed: int) -> ProbeReport:
-    """Check that every nonzero shift strictly worsens the order-1 radius.
+def uniqueness_probe(f: Frame, seed: int) -> ProbeReport:
+    """Check that PROBE_TRIALS random nonzero shifts strictly worsen the
+    order-1 radius.
 
     Only meaningful for single-component graphs, where the canonical dual is
     the unique optimum; shift norms are log-uniform over ``PROBE_NORM_RANGE``.
     """
     if f.layout.m != 1:
         raise ValueError("strictness probe requires a single-component graph")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     baseline = predicted_worst_radius(f, 1)
     lo, hi = PROBE_NORM_RANGE
     min_excess = np.inf
     violations = 0
-    for _ in range(trials):
+    for _ in range(PROBE_TRIALS):
         direction = rng.normal(size=f.k) + 1j * rng.normal(size=f.k)
         direction /= np.linalg.norm(direction)
         norm = np.exp(rng.uniform(np.log(lo), np.log(hi)))
@@ -278,7 +261,7 @@ def uniqueness_probe(f: Frame, trials: int, seed: int) -> ProbeReport:
         min_excess = min(min_excess, excess)
         if excess <= -PROBE_SLACK:
             violations += 1
-    return ProbeReport(float(min_excess), violations, trials)
+    return ProbeReport(float(min_excess), violations)
 
 
 def _detail(claim: str, predicted: float, measured: float, tol: float) -> dict:
@@ -299,12 +282,23 @@ def _nonuniqueness_witness(f: Frame, r: int) -> DualFrame:
         return singleton_shift_dual(f)
 
 
-def verify_order(f: Frame, r: int, *, seed: int = 0) -> OptimalityReport:
-    """Run every measurable claim for one erasure order against a frame."""
-    if r not in (1, 2):
-        raise ValueError(f"verification covers erasure orders 1 and 2, got {r}")
-    if r >= f.n:
-        raise ValueError(f"erasure size r={r} must stay below n={f.n}")
+def verify_order(f: Frame, orders: list[int], *, seed: int = 0) -> list[OptimalityReport]:
+    """Run every measurable claim for each erasure order in ``orders``.
+
+    Every order is validated before any work; a connected graph's uniqueness
+    probe does not depend on the order, so it runs once and every report
+    carries its result.
+    """
+    for r in orders:
+        if r not in (1, 2):
+            raise ValueError(f"verification covers erasure orders 1 and 2, got {r}")
+        if r >= f.n:
+            raise ValueError(f"erasure size r={r} must stay below n={f.n}")
+    probe = uniqueness_probe(f, seed) if f.layout.m == 1 else None
+    return [_order_report(f, r, probe) for r in orders]
+
+
+def _order_report(f: Frame, r: int, probe: ProbeReport | None) -> OptimalityReport:
     canon = f.canonical
     predicted = predicted_worst_radius(f, r)
     result = worst_radius(f, canon, r)
@@ -314,25 +308,23 @@ def verify_order(f: Frame, r: int, *, seed: int = 0) -> OptimalityReport:
     extras: dict = {"witness": list(result.witness.indices)}
     witnesses: list[np.ndarray] = [canon.shifts]
 
-    sizes = f.layout.sizes
-    offsets = f.layout.offsets
+    # the per-component laws, read off the pass's spectra of C[s, s]
+    sizes, offsets = f.layout.sizes, f.layout.offsets
     if r == 1:
-        couplings = np.abs(diagonal_couplings(f, canon))
+        pairings = np.abs(result.spectra[:, 0])
         for j, s in enumerate(sizes):
-            target = (s - 1) / s
-            block = couplings[offsets[j]:offsets[j + 1]]
-            worst = float(np.max(np.abs(block - target))) if len(block) else 0.0
+            worst = float(np.max(np.abs(pairings[offsets[j]:offsets[j + 1]] - (s - 1) / s)))
             details.append(
                 _detail(f"component {j + 1} pairings equal {s - 1}/{s}", 0.0, worst, RADIUS_TOL)
             )
     else:
-        pairs = [np.column_stack(np.triu_indices(s, 1)) + lo for s, lo in zip(sizes, offsets)]
-        ends = np.cumsum([len(p) for p in pairs])
-        spectra = np.split(set_spectra(f, canon, np.concatenate(pairs))[1], ends[:-1])
+        comp = np.repeat(np.arange(f.layout.m), sizes)[result.sets]  # component of each index
+        inside = comp[:, 0] == comp[:, 1]
+        spectra, comp = result.spectra[inside], comp[inside, 0]
         for j, s in enumerate(sizes):
             if s < 2:
                 continue
-            got = np.sort(spectra[j].real, axis=1)[:, ::-1]
+            got = np.sort(spectra[comp == j].real, axis=1)[:, ::-1]
             worst = float(np.max(np.abs(got - [1.0, (s - 2) / s])))
             details.append(
                 _detail(f"component {j + 1} pair spectra equal (1, {s - 2}/{s})", 0.0, worst, SPECTRUM_TOL)
@@ -344,8 +336,7 @@ def verify_order(f: Frame, r: int, *, seed: int = 0) -> OptimalityReport:
         extras["conflicting_reference_value"] = 2.0
 
     canonical_optimal = details[0]["pass"]
-    if f.layout.m == 1:
-        probe = uniqueness_probe(f, PROBE_TRIALS, seed)
+    if probe is not None:
         details.append(
             {
                 "claim": "order-1 strictness probe (nonzero shifts strictly worse)",

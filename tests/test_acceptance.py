@@ -66,7 +66,7 @@ def test_criterion_1_first_example_reproduction():
 def test_criterion_2_second_example_reproduction():
     frame, canon = _k3k2()
     result = worst_radius(frame, canon, 2)
-    for rep in erasure_reports(frame, canon, 2):
+    for rep in erasure_reports(result, frame.k):
         assert abs(rep.radius - EXPECTED_RADII[rep.lam.indices]) <= 1e-9, rep.lam
     assert abs(result.radius - 1.0) <= 1e-9
 
@@ -88,7 +88,7 @@ def test_criterion_3_connected_law():
         if n == 2:
             continue  # no erasure sets of size 2 with r < n
         result = worst_radius(frame, canon, 2)
-        for rep in erasure_reports(frame, canon, 2):
+        for rep in erasure_reports(result, frame.k):
             spectrum = np.sort(rep.eigenvalues[:2].real)[::-1]
             assert np.max(np.abs(spectrum - [1.0, (n - 2) / n])) <= 1e-8
         assert abs(result.radius - 1.0) <= 1e-9
@@ -124,7 +124,7 @@ def test_criterion_5_uniqueness_strictness():
     ]
     for seed, g in enumerate(graphs):
         frame = frame_from_graph(g)
-        report = uniqueness_probe(frame, trials=100, seed=seed)
+        report = uniqueness_probe(frame, seed=seed)
         assert report.violations == 0
         assert report.min_excess > 0
     print("ACCEPTANCE 5 (uniqueness strictness, 3 graphs x 100 shifts): PASS")

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from lapframes import erasure, reproduce
+from lapframes import erasure, optimality, reproduce
 from lapframes.cli import main
 
-from conftest import EDGE_TEXT, K3K2_TEXT
+from conftest import EDGE_TEXT, K3_TEXT, K3K2_TEXT
 
 
 @pytest.fixture
@@ -169,6 +169,40 @@ def test_verify_order_two_on_single_edge_component(capsys, tmp_path):
     assert code == 0 and json.loads(out)["all_pass"]
 
 
+def test_verify_runs_probe_once(capsys, tmp_path, monkeypatch):
+    # the probe does not depend on the order, so both orders share one run
+    path = tmp_path / "k3.el"
+    path.write_text(K3_TEXT)
+    calls = []
+    probe = optimality.uniqueness_probe
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(optimality, "uniqueness_probe", counted)
+    code, out, _ = run(capsys, "verify", str(path))
+    doc = json.loads(out)
+    assert code == 0 and [rep["r"] for rep in doc["reports"]] == [1, 2]
+    assert all(rep["unique"] == "unique" for rep in doc["reports"])
+    assert len(calls) == 1
+
+
+def test_rho_verbose_enumerates_once(capsys, k3k2_file, monkeypatch):
+    calls = []
+    enumerate_sets = erasure._erasure_sets
+
+    def counted(n, r):
+        calls.append(r)
+        return enumerate_sets(n, r)
+
+    monkeypatch.setattr(erasure, "_erasure_sets", counted)
+    code, out, _ = run(capsys, "rho", k3k2_file, "-r", "2", "-v")
+    doc = json.loads(out)
+    assert code == 0 and len(doc["reports"]) == 10
+    assert calls == [2]
+
+
 def test_search_connected(capsys, tmp_path):
     path = tmp_path / "k3.el"
     path.write_text("n 3\n1 2\n1 3\n2 3\n")
@@ -209,12 +243,17 @@ GOOD_PARAMS = b"[[[0, 0], [0, 0], [1, 0]], [[0, 0], [0, 0], [0, 0]]]"
      ["dual", "g.el", "--params", "p.json"]),
     (K3K2_TEXT.encode(), b"[[[NaN, 0], [0, 0], [1, 0]], [[0, 0], [0, 0], [0, 0]]]",
      ["rho", "g.el", "-r", "1", "--params", "p.json"]),
+    (K3K2_TEXT.encode(), b"[[[true, false], [0, 0], [1, 0]], [[0, 0], [0, 0], [0, 0]]]",
+     ["dual", "g.el", "--params", "p.json"]),
+    (K3K2_TEXT.encode(), b"[[[1" + b"0" * 400 + b", 0], [0, 0], [1, 0]], [[0, 0], [0, 0], [0, 0]]]",
+     ["dual", "g.el", "--params", "p.json"]),
     (K3K2_TEXT.encode(), GOOD_PARAMS[:-3] + b"\xff]]", ["dual", "g.el", "--params", "p.json"]),
     (K3K2_TEXT.encode() + b"# \xff\n", GOOD_PARAMS, ["build", "g.el"]),
     (K3K2_TEXT.encode(), GOOD_PARAMS, ["build", "g.el", "--output", "missing/x.json"]),
     (K3K2_TEXT.encode(), GOOD_PARAMS, ["reproduce", "--output", "missing/x.txt"]),
     (K3K2_TEXT.encode(), GOOD_PARAMS, ["reproduce", "--json", "--output", "missing/x.json"]),
-], ids=["params-count", "params-dimension", "params-non-pair", "params-nan", "params-non-utf8",
+], ids=["params-count", "params-dimension", "params-non-pair", "params-nan", "params-boolean",
+        "params-huge-integer", "params-non-utf8",
         "edge-list-non-utf8", "build-unwritable-output", "reproduce-unwritable-output",
         "reproduce-json-unwritable-output"])
 def test_input_failures_exit_2(capsys, tmp_path, monkeypatch, graph, params, argv):

@@ -10,7 +10,6 @@ from lapframes import (
     canonical_dual,
     dual_from_params,
     erasure,
-    erasure_report,
     error_operator,
     frame_from_graph,
     reduced_error_matrix,
@@ -121,7 +120,7 @@ def test_worst_radius_fixture_orders(explicit):
     r2 = worst_radius(f, canon, 2)
     assert abs(r2.radius - 1.0) <= 1e-12
     assert r2.witness.indices == (1, 2)
-    for rep in erasure_reports(f, canon, 2):
+    for rep in erasure_reports(r2, f.k):
         assert abs(rep.radius - EXPECTED_RADII[rep.lam.indices]) <= 1e-12
 
 
@@ -178,7 +177,7 @@ def test_reduced_and_full_spectra_agree():
 
 def test_erasure_report_json_shape(explicit):
     f, canon = explicit
-    doc = erasure_report(f, canon, ErasureSet((1, 2))).to_doc()
+    doc = erasure_reports(worst_radius(f, canon, 2), f.k)[0].to_doc()
     assert doc["lambda"] == [1, 2]
     assert doc["radius"] == pytest.approx(1.0, abs=1e-12)
     assert len(doc["eigenvalues"]) == 3 and len(doc["eigenvalues"][0]) == 2
@@ -188,11 +187,11 @@ def test_erasure_report_json_shape(explicit):
 
 def test_erasure_report_spectrum_padding(explicit):
     f, canon = explicit
-    rep = erasure_report(f, canon, ErasureSet((1, 2)))
-    assert rep.eigenvalues.shape == (3,)
+    rep = erasure_reports(worst_radius(f, canon, 2), f.k)[0]
+    assert rep.lam.indices == (1, 2) and rep.eigenvalues.shape == (3,)
     assert_multiset_close(rep.eigenvalues, [1.0, 1 / 3, 0.0], tol=1e-12)
-    rep4 = erasure_report(f, canon, ErasureSet((1, 2, 3, 4)))
-    assert rep4.eigenvalues.shape == (3,)
+    rep4 = erasure_reports(worst_radius(f, canon, 4), f.k)[0]
+    assert rep4.lam.indices == (1, 2, 3, 4) and rep4.eigenvalues.shape == (3,)
 
 
 def test_connected_canonical_pair_spectra():
@@ -209,7 +208,7 @@ def test_connected_canonical_pair_spectra():
             continue
         f = frame_from_graph(g)
         canon = canonical_dual(f)
-        for rep in erasure_reports(f, canon, 2):
+        for rep in erasure_reports(worst_radius(f, canon, 2), f.k):
             assert_multiset_close(rep.eigenvalues, [1.0, (n - 2) / n, 0.0][: f.k] + [0.0] * max(0, f.k - 3), tol=1e-8)
         done += 1
 
@@ -225,7 +224,7 @@ def test_cross_component_pair_radius():
         f = frame_from_graph(g)
         canon = canonical_dual(f)
         d = f.layout
-        for rep in erasure_reports(f, canon, 2):
+        for rep in erasure_reports(worst_radius(f, canon, 2), f.k):
             a, b = rep.lam.indices
             ja = next(j for j in range(d.m) if d.offsets[j] < a <= d.offsets[j + 1])
             jb = next(j for j in range(d.m) if d.offsets[j] < b <= d.offsets[j + 1])
@@ -259,10 +258,8 @@ def test_pair_radius_dominates_singletons_for_canonical():
             continue
         f = frame_from_graph(g)
         canon = canonical_dual(f)
-        singles = {
-            i: erasure_report(f, canon, ErasureSet((i,))).radius for i in range(1, f.n + 1)
-        }
-        for rep in erasure_reports(f, canon, 2):
+        singles = {rep.lam.indices[0]: rep.radius for rep in erasure_reports(worst_radius(f, canon, 1), f.k)}
+        for rep in erasure_reports(worst_radius(f, canon, 2), f.k):
             a, b = rep.lam.indices
             assert rep.radius >= max(singles[a], singles[b]) - 1e-10
         done += 1
@@ -299,7 +296,7 @@ def test_batched_kernel_matches_per_set_loop(monkeypatch, chunk):
             assert abs(result.radius - best) <= 1e-12 * best
             assert result.witness == next(lam for lam, *_, radius in loop if radius >= best - TIE_TOL)
 
-            reports = erasure_reports(f, dual, r)
+            reports = erasure_reports(result, f.k)
             assert [rep.lam for rep in reports] == [lam for lam, *_ in loop]
             for rep, (_, reduced, eigs, radius) in zip(reports, loop):
                 scale = max(1.0, radius)
