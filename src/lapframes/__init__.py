@@ -1,6 +1,6 @@
 """Frames from graph Laplacians: duals, erasure radii, and optimality checks."""
 
-from .erasure import ErasureReport, ErasureSet, error_operator, reduced_error_matrix, worst_radius
+from .erasure import ErasureSet, error_operator, reduced_error_matrix, worst_radius
 from .frames import (
     DUAL_TOL,
     DualFrame,
@@ -40,7 +40,6 @@ from .linalg import (
 from .optimality import (
     ProbeReport,
     SearchBudgetError,
-    SearchConfig,
     SearchReport,
     OptimalityReport,
     alternate_optimal_dual,

@@ -1,11 +1,18 @@
 """Command-line front end.
 
 Subcommands: build, dual, rho, verify, search, reproduce. All reports are
-JSON on standard output (or --output <path>) with a top-level schema field.
+JSON on standard output (or --output <path>) with a top-level schema field;
+every complex array in them is written by ``frames.pairs`` as [re, im]
+pairs, and ``rho -v``'s per-set reports are formatted here from the arrays
+of the radius pass.
+
 Exit codes: 0 success or all checks passed, 1 a verification check failed,
-2 usage or input error (an unreadable or undecodable input file and an
-unwritable output path included), or more erasure sets than the
-enumeration cap.
+2 usage or input error, 3 internal or resource failure. Every refusal in
+the package is a ``ValueError`` (an unreadable or undecodable input file,
+an unwritable output path and more erasure sets than the enumeration cap
+included), and ``main`` alone maps exceptions to exit codes: a
+``ValueError`` to 2, any other exception (a ``ConvergenceError``, a
+``MemoryError``) to 3, each as one line on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .erasure import EnumerationCapError, erasure_reports, worst_radius
+from .erasure import RhoResult, worst_radius
 from .frames import (
     DualFrame,
     Frame,
@@ -26,37 +33,26 @@ from .frames import (
     frame_bounds,
     frame_from_graph,
     frame_to_doc,
+    pairs,
 )
-from .graph import EdgeListError, parse_edge_list
-from .optimality import (
-    SearchBudgetError,
-    SearchConfig,
-    search_optimal_dual,
-    verify_order,
-)
+from .graph import parse_edge_list
+from .optimality import SEARCH_BUDGET, search_optimal_dual, verify_order
 from .reproduce import run_reproduction
-
-
-class InputError(ValueError):
-    """Bad command input: reported on stderr with exit code 2."""
 
 
 def _load_frame(path: str) -> Frame:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        return frame_from_graph(parse_edge_list(text))
-    except (EdgeListError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    return frame_from_graph(parse_edge_list(text))
 
 
 def _check_order(frame: Frame, r: int) -> None:
     """Refuse an erasure order outside [1, n - 1]: an erasure must leave a vector."""
     if not 1 <= r < frame.n:
         need = f" (-r {r} requires at least {r + 1} vertices)" if r >= frame.n else ""
-        raise InputError(f"-r must be in [1, {frame.n - 1}] for this graph, got {r}{need}")
+        raise ValueError(f"-r must be in [1, {frame.n - 1}] for this graph, got {r}{need}")
 
 
 def _real(x):
@@ -72,25 +68,36 @@ def _load_dual(path: str, frame: Frame) -> DualFrame:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read dual params from {path}: {exc}") from exc
+        raise ValueError(f"cannot read dual params from {path}: {exc}") from exc
     if not isinstance(raw, list) or len(raw) != frame.layout.m:
-        raise InputError(f"expected a JSON list of {frame.layout.m} shift vectors")
+        raise ValueError(f"expected a JSON list of {frame.layout.m} shift vectors")
     try:
         columns = [[complex(_real(re), _real(im)) for re, im in entry] for entry in raw]
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"each shift must be a list of [re, im] pairs: {exc}") from exc
+        raise ValueError(f"each shift must be a list of [re, im] pairs: {exc}") from exc
     for column in columns:
         if len(column) != frame.k:
-            raise InputError(f"each shift must have dimension {frame.k}, got ({len(column)},)")
-    try:
-        return dual_from_params(frame, np.array(columns, dtype=complex).T)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+            raise ValueError(f"each shift must have dimension {frame.k}, got ({len(column)},)")
+    return dual_from_params(frame, np.array(columns, dtype=complex).T)
 
 
-def _params_doc(shifts: np.ndarray) -> list:
-    """The m columns of k x m shifts as lists of [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in column] for column in shifts.T]
+def set_reports(result: RhoResult, k: int) -> list[dict]:
+    """``rho -v``'s report for every set of a radius pass, in its
+    lexicographic order: the 1-based set, its radius, its spectrum sorted by
+    magnitude (stable) and padded with zeros or cut to k entries (the
+    surplus of r > k being structural zeros of a rank <= k operator), and
+    its r x r matrix C[s, s]."""
+    sets, spectra = result.sets, result.spectra
+    by_mag = np.take_along_axis(spectra, np.argsort(-np.abs(spectra), axis=1, kind="stable"), axis=1)
+    eigenvalues = np.zeros((len(sets), k), dtype=complex)
+    eigenvalues[:, :min(k, sets.shape[1])] = by_mag[:, :k]
+    reduced = result.c[sets[:, :, None], sets[:, None, :]]
+    return [
+        {"lambda": lam, "radius": radius, "eigenvalues": eigs, "reduced": mat}
+        for lam, radius, eigs, mat in zip(
+            (sets + 1).tolist(), np.max(np.abs(spectra), axis=1).tolist(), pairs(eigenvalues), pairs(reduced)
+        )
+    ]
 
 
 def _write(text: str, output: str | None) -> None:
@@ -100,7 +107,7 @@ def _write(text: str, output: str | None) -> None:
     try:
         Path(output).write_text(text + "\n", encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot write {output}: {exc}") from exc
+        raise ValueError(f"cannot write {output}: {exc}") from exc
 
 
 def _emit(payload: dict, output: str | None) -> None:
@@ -132,7 +139,7 @@ def cmd_dual(args) -> int:
         "schema": 1,
         "command": "dual",
         "dual": dual_to_doc(dual, frame),
-        "params": _params_doc(dual.shifts),
+        "params": pairs(dual.shifts.T),
     }, args.output)
     return 0
 
@@ -150,7 +157,7 @@ def cmd_rho(args) -> int:
         "witness": list(result.witness.indices),
     }
     if args.verbose:
-        payload["reports"] = [rep.to_doc() for rep in erasure_reports(result, frame.k)]
+        payload["reports"] = set_reports(result, frame.k)
     _emit(payload, args.output)
     return 0
 
@@ -168,7 +175,7 @@ def cmd_verify(args) -> int:
             "measured": rep.measured,
             "canonical_optimal": rep.canonical_optimal,
             "unique": rep.unique,
-            "witnesses": [_params_doc(w) for w in rep.witnesses],
+            "witnesses": [pairs(w.T) for w in rep.witnesses],
             "details": list(rep.details),
             "notes": list(rep.notes),
             **rep.extras,
@@ -189,14 +196,7 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     frame = _load_frame(args.file)
     _check_order(frame, args.r)
-    try:
-        cfg = SearchConfig(seed=args.seed, budget=args.budget)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        report = search_optimal_dual(frame, args.r, cfg)
-    except SearchBudgetError as exc:
-        raise InputError(str(exc)) from exc
+    report = search_optimal_dual(frame, args.r, seed=args.seed, budget=args.budget)
     _emit({
         "schema": 1,
         "command": "search",
@@ -204,9 +204,9 @@ def cmd_search(args) -> int:
         "best_rho": report.best_rho,
         "improved": report.improved,
         "evaluations": report.evaluations,
-        "best_params": _params_doc(report.best_params),
+        "best_params": pairs(report.best_params.T),
         "near_optima": [
-            {"params": _params_doc(p), "rho": value} for p, value in report.near_optima
+            {"params": pairs(p.T), "rho": value} for p, value in report.near_optima
         ],
     }, args.output)
     return 0
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="Search the dual family for a better worst-case radius")
     p.add_argument("file")
     p.add_argument("-r", type=int, required=True, choices=(1, 2))
-    p.add_argument("--budget", type=int, default=SearchConfig().budget)
+    p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(fn=cmd_search)
@@ -282,9 +282,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, EnumerationCapError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # the one boundary: no traceback leaves the command
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

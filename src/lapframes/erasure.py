@@ -4,8 +4,8 @@ An erasure set L's error operator is the k x k map assembled from the erased
 dual and frame columns. Its nonzero spectrum is that of the r x r principal
 submatrix C[L, L] of the cross-Gramian C = Phi^H Psi, so all radii come from
 one C, in stacks of CHUNK_SETS submatrices. ``worst_radius`` makes that one
-pass per (dual, r) and returns it whole (C, the sets and their spectra):
-``erasure_reports`` formats it for ``rho -v`` and ``verify_order`` reads the
+pass per (dual, r) and returns it whole, as arrays (C, the sets and their
+spectra): the CLI formats it for ``rho -v`` and ``verify_order`` reads the
 optimality laws from it. Every ``DualFrame`` was checked where it was built
 (``Frame.canonical`` or ``dual_from_params``), so the radius kernel does not
 check it again. ``error_operator`` and ``reduced_error_matrix`` build one
@@ -50,31 +50,6 @@ class ErasureSet:
     @property
     def r(self) -> int:
         return len(self.indices)
-
-
-@dataclass(frozen=True)
-class ErasureReport:
-    """Spectrum of one erasure set's error operator.
-
-    ``eigenvalues`` describes the full operator: the reduced spectrum padded
-    with zeros (or truncated to the k largest magnitudes when r > k, the
-    surplus being structural zeros of a rank <= k operator).
-    """
-
-    lam: ErasureSet
-    reduced: np.ndarray
-    eigenvalues: np.ndarray
-    radius: float
-
-    def to_doc(self) -> dict:
-        return {
-            "lambda": list(self.lam.indices),
-            "radius": self.radius,
-            "eigenvalues": [[float(z.real), float(z.imag)] for z in self.eigenvalues],
-            "reduced": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.reduced
-            ],
-        }
 
 
 class RhoResult(NamedTuple):
@@ -125,18 +100,6 @@ def _erasure_sets(n: int, r: int) -> np.ndarray:
         raise EnumerationCapError(f"C({n}, {r}) = {total} exceeds the enumeration cap {MAX_SETS}")
     flat = chain.from_iterable(combinations(range(n), r))
     return np.fromiter(flat, dtype=np.intp, count=total * r).reshape(total, r)
-
-
-def erasure_reports(result: RhoResult, k: int) -> list[ErasureReport]:
-    """Reports for every set of a radius pass, in its lexicographic order, each
-    spectrum sorted by magnitude and padded or cut to k entries."""
-    reports = []
-    for cols, eigs in zip(result.sets, result.spectra):
-        by_mag = eigs[np.argsort(-np.abs(eigs), kind="stable")]
-        spectrum = np.concatenate([by_mag, np.zeros(k, dtype=complex)])[:k]
-        lam = ErasureSet(tuple(int(i) + 1 for i in cols))
-        reports.append(ErasureReport(lam, result.c[np.ix_(cols, cols)], spectrum, float(np.max(np.abs(eigs)))))
-    return reports
 
 
 def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:

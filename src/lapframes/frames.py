@@ -186,8 +186,10 @@ def apply_unitary(f: Frame, u) -> Frame:
     return Frame(f.k, f.n, u @ f.synthesis, f.layout, f.spectrum)
 
 
-def _matrix_to_pairs(mat: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
+def pairs(a: np.ndarray) -> list:
+    """The JSON form of a complex array: its nested lists with every entry
+    an [re, im] pair of Python floats."""
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def _pairs_to_matrix(pairs, k: int, n: int) -> np.ndarray:
@@ -202,7 +204,7 @@ def _doc(f: Frame, matrix: np.ndarray) -> dict:
         "k": f.k,
         "n": f.n,
         "components": list(f.layout.sizes),
-        "synthesis": _matrix_to_pairs(matrix),
+        "synthesis": pairs(matrix.reshape(-1)),
         "spectrum": [float(x) for x in f.spectrum],
     }
 

@@ -6,7 +6,8 @@ over the whole dual family, and a strictness probe that certifies uniqueness
 for single-component graphs. ``verify_order`` reads each order's
 per-component laws from the canonical dual's radius pass (``worst_radius``
 returns C's principal-submatrix spectra), and runs the order-independent
-probe once per call.
+probe once per call. Every refusal is a ``ValueError``, ``SearchBudgetError``
+included; a bad order, seed or negative budget is refused before any work.
 """
 
 from __future__ import annotations
@@ -29,20 +30,11 @@ GRID_STEPS = 5
 PROBE_TRIALS = 100
 PROBE_NORM_RANGE = (1e-3, 10.0)  # log-uniform range of the probe's shift norms
 PROBE_SLACK = 1e-10
+SEARCH_BUDGET = 5000  # default objective evaluations of ``search_optimal_dual``
 
 
-class SearchBudgetError(RuntimeError):
+class SearchBudgetError(ValueError):
     """The evaluation budget ran out before one full grid pass."""
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    seed: int = 0
-    budget: int = 5000
-
-    def __post_init__(self):
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -158,15 +150,24 @@ def vector_to_params(x: np.ndarray, m: int, k: int) -> np.ndarray:
     return (parts[:, 0] + 1j * parts[:, 1]).T
 
 
-def search_optimal_dual(f: Frame, r: int, cfg: SearchConfig = SearchConfig()) -> SearchReport:
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+
+
+def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH_BUDGET) -> SearchReport:
     """Minimize the worst-case radius over the whole shift-parameterized family.
 
     Seeds: the canonical point plus per-axis sweeps of the coarse grid (a
     full Cartesian grid is hopeless at 2*m*k dimensions), then Nelder-Mead
     refinement from the best seeds and one seeded random restart. A budget
     of 0 returns the canonical baseline after its single evaluation; a
-    nonzero budget too small for one grid pass raises.
+    nonzero budget too small for one grid pass raises. The budget and the
+    seed are checked before any evaluation.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    _check_seed(seed)
     if r not in (1, 2):
         raise ValueError(f"search supports erasure orders 1 and 2, got {r}")
     if r >= f.n:
@@ -205,14 +206,14 @@ def search_optimal_dual(f: Frame, r: int, cfg: SearchConfig = SearchConfig()) ->
             near_optima=tuple((vector_to_params(x, m, k), value) for x, value in near),
         )
 
-    if cfg.budget == 0:
+    if budget == 0:
         return finalize()
 
     axis_values = [v for v in np.linspace(-GRID_EXTENT, GRID_EXTENT, GRID_STEPS) if v != 0.0]
     grid_pass = 1 + dim * len(axis_values)
-    if cfg.budget < grid_pass:
+    if budget < grid_pass:
         raise SearchBudgetError(
-            f"budget {cfg.budget} cannot cover one grid pass of {grid_pass} evaluations"
+            f"budget {budget} cannot cover one grid pass of {grid_pass} evaluations"
         )
     seeds: list[tuple[np.ndarray, float]] = [(origin, canonical_rho)]
     for axis in range(dim):
@@ -226,10 +227,10 @@ def search_optimal_dual(f: Frame, r: int, cfg: SearchConfig = SearchConfig()) ->
 
     seeds.sort(key=lambda entry: entry[1])
     starts = [origin] + [x for x, _ in seeds[:3]]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     starts.append(rng.uniform(-GRID_EXTENT, GRID_EXTENT, dim))
     for start in starts:
-        remaining = cfg.budget - evaluations
+        remaining = budget - evaluations
         if remaining < dim + 2:
             break
         result = nelder_mead(objective, start, max_evals=remaining)
@@ -285,10 +286,11 @@ def _nonuniqueness_witness(f: Frame, r: int) -> DualFrame:
 def verify_order(f: Frame, orders: list[int], *, seed: int = 0) -> list[OptimalityReport]:
     """Run every measurable claim for each erasure order in ``orders``.
 
-    Every order is validated before any work; a connected graph's uniqueness
-    probe does not depend on the order, so it runs once and every report
-    carries its result.
+    The seed and every order are validated before any work; a connected
+    graph's uniqueness probe does not depend on the order, so it runs once
+    and every report carries its result.
     """
+    _check_seed(seed)
     for r in orders:
         if r not in (1, 2):
             raise ValueError(f"verification covers erasure orders 1 and 2, got {r}")

@@ -21,6 +21,12 @@ def assert_multiset_close(got, expected, tol=1e-8):
         expected.pop(j)
 
 
+def complex_of(pairs):
+    """The complex array whose JSON form (``frames.pairs``) is ``pairs``."""
+    a = np.asarray(pairs, dtype=float)
+    return a[..., 0] + 1j * a[..., 1]
+
+
 @pytest.fixture
 def k3k2_frame():
     return frame_from_graph(parse_edge_list(K3K2_TEXT))

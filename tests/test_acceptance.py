@@ -9,7 +9,6 @@ import numpy as np
 
 from lapframes import (
     ErasureSet,
-    SearchConfig,
     alternate_optimal_dual,
     apply_unitary,
     canonical_dual,
@@ -26,7 +25,7 @@ from lapframes import (
     uniqueness_probe,
     worst_radius,
 )
-from lapframes.erasure import erasure_reports
+from lapframes.cli import set_reports
 from lapframes.optimality import params_to_vector
 from lapframes.reproduce import EXPECTED_RADII, LAPLACIAN_5
 from lapframes.sampling import (
@@ -37,7 +36,7 @@ from lapframes.sampling import (
     random_unitary,
 )
 
-from conftest import K3_TEXT, K3K2_TEXT, K4_TEXT, assert_multiset_close
+from conftest import K3_TEXT, K3K2_TEXT, K4_TEXT, assert_multiset_close, complex_of
 
 
 def _k3k2():
@@ -66,8 +65,8 @@ def test_criterion_1_first_example_reproduction():
 def test_criterion_2_second_example_reproduction():
     frame, canon = _k3k2()
     result = worst_radius(frame, canon, 2)
-    for rep in erasure_reports(result, frame.k):
-        assert abs(rep.radius - EXPECTED_RADII[rep.lam.indices]) <= 1e-9, rep.lam
+    for rep in set_reports(result, frame.k):
+        assert abs(rep["radius"] - EXPECTED_RADII[tuple(rep["lambda"])]) <= 1e-9, rep["lambda"]
     assert abs(result.radius - 1.0) <= 1e-9
 
     shifted = _shifted(frame)
@@ -88,8 +87,8 @@ def test_criterion_3_connected_law():
         if n == 2:
             continue  # no erasure sets of size 2 with r < n
         result = worst_radius(frame, canon, 2)
-        for rep in erasure_reports(result, frame.k):
-            spectrum = np.sort(rep.eigenvalues[:2].real)[::-1]
+        for rep in set_reports(result, frame.k):
+            spectrum = np.sort(complex_of(rep["eigenvalues"])[:2].real)[::-1]
             assert np.max(np.abs(spectrum - [1.0, (n - 2) / n])) <= 1e-8
         assert abs(result.radius - 1.0) <= 1e-9
     print("ACCEPTANCE 3 (connected-graph law, 50 graphs): PASS")
@@ -192,11 +191,11 @@ def test_criterion_9_search_non_improvement():
     k3k2 = frame_from_graph(parse_edge_list(K3K2_TEXT))
     targets = {1: 2 / 3, 2: 1.0}
     for r in (1, 2):
-        report = search_optimal_dual(k3, r, SearchConfig())
+        report = search_optimal_dual(k3, r)
         assert not report.improved
         assert abs(report.best_rho - targets[r]) <= 1e-6
     for r in (1, 2):
-        report = search_optimal_dual(k3k2, r, SearchConfig())
+        report = search_optimal_dual(k3k2, r)
         assert not report.improved
         assert abs(report.best_rho - targets[r]) <= 1e-6
         points = [params_to_vector(p) for p, _ in report.near_optima]

@@ -1,9 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lapframes import erasure, optimality, reproduce
+from lapframes import cli, erasure, optimality, reproduce
 from lapframes.cli import main
+from lapframes.erasure import worst_radius
+from lapframes.frames import dual_from_params, frame_from_graph, pairs
+from lapframes.linalg import ConvergenceError
+from lapframes.sampling import random_connected_graph, random_disconnected_graph, random_dual_params
 
 from conftest import EDGE_TEXT, K3_TEXT, K3K2_TEXT
 
@@ -252,10 +261,14 @@ GOOD_PARAMS = b"[[[0, 0], [0, 0], [1, 0]], [[0, 0], [0, 0], [0, 0]]]"
     (K3K2_TEXT.encode(), GOOD_PARAMS, ["build", "g.el", "--output", "missing/x.json"]),
     (K3K2_TEXT.encode(), GOOD_PARAMS, ["reproduce", "--output", "missing/x.txt"]),
     (K3K2_TEXT.encode(), GOOD_PARAMS, ["reproduce", "--json", "--output", "missing/x.json"]),
+    (K3_TEXT.encode(), GOOD_PARAMS, ["verify", "g.el", "--seed", "-1"]),
+    (K3K2_TEXT.encode(), GOOD_PARAMS, ["search", "g.el", "-r", "1", "--seed", "-1"]),
+    (K3K2_TEXT.encode(), GOOD_PARAMS, ["search", "g.el", "-r", "1", "--budget", "0", "--seed", "-1"]),
 ], ids=["params-count", "params-dimension", "params-non-pair", "params-nan", "params-boolean",
         "params-huge-integer", "params-non-utf8",
         "edge-list-non-utf8", "build-unwritable-output", "reproduce-unwritable-output",
-        "reproduce-json-unwritable-output"])
+        "reproduce-json-unwritable-output", "verify-negative-seed", "search-negative-seed",
+        "search-budget-0-negative-seed"])
 def test_input_failures_exit_2(capsys, tmp_path, monkeypatch, graph, params, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "g.el").write_bytes(graph)
@@ -265,6 +278,91 @@ def test_input_failures_exit_2(capsys, tmp_path, monkeypatch, graph, params, arg
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [
+    ConvergenceError("eigvals failed on order 3: did not converge"),
+    MemoryError("Unable to allocate 6.71 GiB for an array with shape (30000, 30000)"),
+], ids=["convergence", "memory"])
+def test_internal_failures_exit_3(capsys, k3k2_file, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "verify_order", fail)
+    code, out, err = run(capsys, "verify", k3k2_file)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {type(exc).__name__}: {exc}\n"
+    assert "Traceback" not in err
+
+
+def _per_set_docs(result, k):
+    """rho -v's reports built one set at a time, the way the per-set report
+    objects did: spectrum sorted by magnitude (stable), zero-padded or cut to
+    k entries, and C[s, s] gathered with np.ix_."""
+    docs = []
+    for cols, eigs in zip(result.sets, result.spectra):
+        by_mag = eigs[np.argsort(-np.abs(eigs), kind="stable")]
+        spectrum = np.concatenate([by_mag, np.zeros(k, dtype=complex)])[:k]
+        docs.append({
+            "lambda": [int(i) + 1 for i in cols],
+            "radius": float(np.max(np.abs(eigs))),
+            "eigenvalues": [[float(z.real), float(z.imag)] for z in spectrum],
+            "reduced": [[[float(z.real), float(z.imag)] for z in row] for row in result.c[np.ix_(cols, cols)]],
+        })
+    return docs
+
+
+def test_rho_verbose_matches_per_set_formatting(capsys, tmp_path, monkeypatch):
+    # 32 random graphs, connected and not, canonical and shifted duals, r = 1-4
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(73)
+    above_k = 0
+    for i in range(32):
+        g = random_disconnected_graph(rng) if i % 2 else random_connected_graph(rng, (3, 10))
+        f = frame_from_graph(g)
+        (tmp_path / "g.el").write_text(f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
+        dual, argv = f.canonical, []
+        if i % 3:
+            shifts = random_dual_params(f, rng, scale=2.0)
+            (tmp_path / "p.json").write_text(json.dumps(pairs(shifts.T)))
+            dual, argv = dual_from_params(f, shifts), ["--params", "p.json"]
+        for r in range(1, min(4, f.n - 1) + 1):
+            code, out, _ = run(capsys, "rho", "g.el", "-r", str(r), *argv, "-v")
+            assert code == 0
+            assert json.loads(out)["reports"] == _per_set_docs(worst_radius(f, dual, r), f.k)
+            above_k += r > f.k
+    assert above_k > 0
+
+
+def _python_m(*argv, cwd, preexec_fn=None):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "lapframes", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
+
+
+def test_python_m_passes_exit_codes(tmp_path):
+    done = _python_m("reproduce", cwd=tmp_path)
+    assert done.returncode == 0 and "all checks passed" in done.stdout
+    done = _python_m("build", "missing.el", cwd=tmp_path)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: cannot read missing.el")
+
+
+def test_python_m_memory_failure_exits_3(tmp_path):
+    resource = pytest.importorskip("resource")
+    cap = 2560 << 20  # the dense 30000 x 30000 Laplacian needs 6.7 GiB
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    (tmp_path / "big.el").write_text("n 30000\n1 2\n")
+    done = _python_m("build", "big.el", cwd=tmp_path, preexec_fn=limit)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: MemoryError: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
 
 
 def test_reproduce_all_pass(capsys):

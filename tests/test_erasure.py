@@ -16,7 +16,8 @@ from lapframes import (
     small_complex_eigenvalues,
     worst_radius,
 )
-from lapframes.erasure import TIE_TOL, EnumerationCapError, erasure_reports
+from lapframes.cli import set_reports
+from lapframes.erasure import TIE_TOL, EnumerationCapError
 from lapframes.frames import DualFrame
 from lapframes.reproduce import (
     CANONICAL_OPERATORS,
@@ -25,9 +26,15 @@ from lapframes.reproduce import (
     SHIFTS,
     explicit_frame,
 )
-from lapframes.sampling import random_dual_params, random_graph, random_unitary
+from lapframes.sampling import (
+    random_connected_graph,
+    random_disconnected_graph,
+    random_dual_params,
+    random_graph,
+    random_unitary,
+)
 
-from conftest import assert_multiset_close
+from conftest import assert_multiset_close, complex_of
 
 
 @pytest.fixture
@@ -120,8 +127,8 @@ def test_worst_radius_fixture_orders(explicit):
     r2 = worst_radius(f, canon, 2)
     assert abs(r2.radius - 1.0) <= 1e-12
     assert r2.witness.indices == (1, 2)
-    for rep in erasure_reports(r2, f.k):
-        assert abs(rep.radius - EXPECTED_RADII[rep.lam.indices]) <= 1e-12
+    for rep in set_reports(r2, f.k):
+        assert abs(rep["radius"] - EXPECTED_RADII[tuple(rep["lambda"])]) <= 1e-12
 
 
 def test_worst_radius_equals_max_pairing_for_r1():
@@ -177,7 +184,7 @@ def test_reduced_and_full_spectra_agree():
 
 def test_erasure_report_json_shape(explicit):
     f, canon = explicit
-    doc = erasure_reports(worst_radius(f, canon, 2), f.k)[0].to_doc()
+    doc = set_reports(worst_radius(f, canon, 2), f.k)[0]
     assert doc["lambda"] == [1, 2]
     assert doc["radius"] == pytest.approx(1.0, abs=1e-12)
     assert len(doc["eigenvalues"]) == 3 and len(doc["eigenvalues"][0]) == 2
@@ -187,11 +194,12 @@ def test_erasure_report_json_shape(explicit):
 
 def test_erasure_report_spectrum_padding(explicit):
     f, canon = explicit
-    rep = erasure_reports(worst_radius(f, canon, 2), f.k)[0]
-    assert rep.lam.indices == (1, 2) and rep.eigenvalues.shape == (3,)
-    assert_multiset_close(rep.eigenvalues, [1.0, 1 / 3, 0.0], tol=1e-12)
-    rep4 = erasure_reports(worst_radius(f, canon, 4), f.k)[0]
-    assert rep4.lam.indices == (1, 2, 3, 4) and rep4.eigenvalues.shape == (3,)
+    rep = set_reports(worst_radius(f, canon, 2), f.k)[0]
+    eigenvalues = complex_of(rep["eigenvalues"])
+    assert rep["lambda"] == [1, 2] and eigenvalues.shape == (3,)
+    assert_multiset_close(eigenvalues, [1.0, 1 / 3, 0.0], tol=1e-12)
+    rep4 = set_reports(worst_radius(f, canon, 4), f.k)[0]
+    assert rep4["lambda"] == [1, 2, 3, 4] and complex_of(rep4["eigenvalues"]).shape == (3,)
 
 
 def test_connected_canonical_pair_spectra():
@@ -208,8 +216,8 @@ def test_connected_canonical_pair_spectra():
             continue
         f = frame_from_graph(g)
         canon = canonical_dual(f)
-        for rep in erasure_reports(worst_radius(f, canon, 2), f.k):
-            assert_multiset_close(rep.eigenvalues, [1.0, (n - 2) / n, 0.0][: f.k] + [0.0] * max(0, f.k - 3), tol=1e-8)
+        for rep in set_reports(worst_radius(f, canon, 2), f.k):
+            assert_multiset_close(complex_of(rep["eigenvalues"]), [1.0, (n - 2) / n, 0.0][: f.k] + [0.0] * max(0, f.k - 3), tol=1e-8)
         done += 1
 
 
@@ -217,34 +225,41 @@ def test_cross_component_pair_radius():
     from lapframes import components
 
     rng = np.random.default_rng(53)
-    from lapframes.sampling import random_disconnected_graph
-
     for _ in range(10):
         g = random_disconnected_graph(rng)
         f = frame_from_graph(g)
         canon = canonical_dual(f)
         d = f.layout
-        for rep in erasure_reports(worst_radius(f, canon, 2), f.k):
-            a, b = rep.lam.indices
+        for rep in set_reports(worst_radius(f, canon, 2), f.k):
+            a, b = rep["lambda"]
             ja = next(j for j in range(d.m) if d.offsets[j] < a <= d.offsets[j + 1])
             jb = next(j for j in range(d.m) if d.offsets[j] < b <= d.offsets[j + 1])
             if ja == jb:
                 continue
             sa, sb = d.sizes[ja], d.sizes[jb]
             expected = max((sa - 1) / sa, (sb - 1) / sb)
-            assert abs(rep.radius - expected) <= 1e-8
+            assert abs(rep["radius"] - expected) <= 1e-8
 
 
 def test_worst_radius_unitary_invariance(k3k2_frame, k3k2_canonical):
+    # K3+K2's canonical dual, then shifted duals of random connected and
+    # disconnected graphs; U maps a dual's shifts V to U V
     rng = np.random.default_rng(59)
-    base1 = worst_radius(k3k2_frame, k3k2_canonical, 1).radius
-    base2 = worst_radius(k3k2_frame, k3k2_canonical, 2).radius
-    for _ in range(5):
-        u = random_unitary(3, rng)
-        fu = apply_unitary(k3k2_frame, u)
-        du = dual_from_params(fu, u @ k3k2_canonical.shifts)
-        assert abs(worst_radius(fu, du, 1).radius - base1) <= 1e-8
-        assert abs(worst_radius(fu, du, 2).radius - base2) <= 1e-8
+    cases = [(k3k2_frame, k3k2_canonical.shifts)]
+    for i in range(20):
+        g = random_connected_graph(rng, (3, 9)) if i % 2 else random_disconnected_graph(rng)
+        f = frame_from_graph(g)
+        cases.append((f, random_dual_params(f, rng, scale=2.0)))
+    for f, shifts in cases:
+        dual = dual_from_params(f, shifts)
+        base1 = worst_radius(f, dual, 1).radius
+        base2 = worst_radius(f, dual, 2).radius
+        for _ in range(5):
+            u = random_unitary(f.k, rng)
+            fu = apply_unitary(f, u)
+            du = dual_from_params(fu, u @ shifts)
+            assert abs(worst_radius(fu, du, 1).radius - base1) <= 1e-8
+            assert abs(worst_radius(fu, du, 2).radius - base2) <= 1e-8
 
 
 def test_pair_radius_dominates_singletons_for_canonical():
@@ -258,10 +273,10 @@ def test_pair_radius_dominates_singletons_for_canonical():
             continue
         f = frame_from_graph(g)
         canon = canonical_dual(f)
-        singles = {rep.lam.indices[0]: rep.radius for rep in erasure_reports(worst_radius(f, canon, 1), f.k)}
-        for rep in erasure_reports(worst_radius(f, canon, 2), f.k):
-            a, b = rep.lam.indices
-            assert rep.radius >= max(singles[a], singles[b]) - 1e-10
+        singles = {rep["lambda"][0]: rep["radius"] for rep in set_reports(worst_radius(f, canon, 1), f.k)}
+        for rep in set_reports(worst_radius(f, canon, 2), f.k):
+            a, b = rep["lambda"]
+            assert rep["radius"] >= max(singles[a], singles[b]) - 1e-10
         done += 1
 
 
@@ -296,14 +311,14 @@ def test_batched_kernel_matches_per_set_loop(monkeypatch, chunk):
             assert abs(result.radius - best) <= 1e-12 * best
             assert result.witness == next(lam for lam, *_, radius in loop if radius >= best - TIE_TOL)
 
-            reports = erasure_reports(result, f.k)
-            assert [rep.lam for rep in reports] == [lam for lam, *_ in loop]
+            reports = set_reports(result, f.k)
+            assert [tuple(rep["lambda"]) for rep in reports] == [lam.indices for lam, *_ in loop]
             for rep, (_, reduced, eigs, radius) in zip(reports, loop):
                 scale = max(1.0, radius)
-                assert abs(rep.radius - radius) <= 1e-12 * scale
-                assert np.max(np.abs(rep.reduced - reduced)) <= 1e-12 * scale
+                assert abs(rep["radius"] - radius) <= 1e-12 * scale
+                assert np.max(np.abs(complex_of(rep["reduced"]) - reduced)) <= 1e-12 * scale
                 by_mag = list(eigs[np.argsort(-np.abs(eigs), kind="stable")]) + [0.0] * f.k
-                assert_multiset_close(rep.eigenvalues, by_mag[: f.k], tol=1e-12 * scale)
+                assert_multiset_close(complex_of(rep["eigenvalues"]), by_mag[: f.k], tol=1e-12 * scale)
             done += 1
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from lapframes import (
     SearchBudgetError,
-    SearchConfig,
     alternate_optimal_dual,
     apply_unitary,
     canonical_dual,
@@ -133,7 +132,7 @@ def test_search_disconnected_finds_ties(k3k2_frame):
 
 
 def test_search_budget_zero_returns_baseline(k3k2_frame):
-    report = search_optimal_dual(k3k2_frame, 1, SearchConfig(budget=0))
+    report = search_optimal_dual(k3k2_frame, 1, budget=0)
     assert report.evaluations == 1
     assert not report.improved
     assert abs(report.best_rho - 2 / 3) <= 1e-12
@@ -141,12 +140,16 @@ def test_search_budget_zero_returns_baseline(k3k2_frame):
 
 def test_search_budget_below_grid_pass_raises(k3k2_frame):
     with pytest.raises(SearchBudgetError):
-        search_optimal_dual(k3k2_frame, 1, SearchConfig(budget=5))
+        search_optimal_dual(k3k2_frame, 1, budget=5)
 
 
-def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(budget=-1)
+def test_search_config_validation(k3k2_frame):
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        search_optimal_dual(k3k2_frame, 1, budget=-1)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+        search_optimal_dual(k3k2_frame, 1, seed=-1, budget=0)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+        verify_order(k3k2_frame, [1], seed=-1)
 
 
 def test_search_computes_canonical_dual_once(monkeypatch, k3k2_frame):
@@ -158,7 +161,7 @@ def test_search_computes_canonical_dual_once(monkeypatch, k3k2_frame):
         return compute(f)
 
     monkeypatch.setattr(frames, "canonical_dual", counted)
-    report = search_optimal_dual(k3k2_frame, 1, SearchConfig())
+    report = search_optimal_dual(k3k2_frame, 1)
     assert report.evaluations > 1
     assert len(calls) == 1 and calls[0] is k3k2_frame
 
@@ -174,7 +177,7 @@ def test_search_checks_each_dual_once(monkeypatch, k3k2_frame):
 
     monkeypatch.setattr(frames, "is_dual", counted)
     monkeypatch.setattr(erasure, "is_dual", counted)
-    report = search_optimal_dual(k3k2_frame, 1, SearchConfig())
+    report = search_optimal_dual(k3k2_frame, 1)
     assert report.evaluations > 1
     assert len(calls) == report.evaluations + 1
 
@@ -284,7 +287,7 @@ def test_verify_order_two_with_one_dimensional_frame(text):
 
 def test_search_and_verify_reject_r_at_least_n(edge_frame):
     with pytest.raises(ValueError, match="below n"):
-        search_optimal_dual(edge_frame, 2, SearchConfig(budget=100))
+        search_optimal_dual(edge_frame, 2, budget=100)
     with pytest.raises(ValueError, match="below n"):
         verify_order(edge_frame, [2])
 
