@@ -10,7 +10,6 @@ from .frames import (
     dual_from_params,
     dual_to_doc,
     frame_bounds,
-    frame_from_doc,
     frame_from_graph,
     frame_operator,
     frame_to_doc,
@@ -34,7 +33,6 @@ from .linalg import (
     EigenDecomposition,
     hermitian_eigenvalues,
     small_complex_eigenvalues,
-    spectral_radius,
     symmetric_eig,
 )
 from .optimality import (

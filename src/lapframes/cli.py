@@ -4,7 +4,10 @@ Subcommands: build, dual, rho, verify, search, reproduce. All reports are
 JSON on standard output (or --output <path>) with a top-level schema field;
 every complex array in them is written by ``frames.pairs`` as [re, im]
 pairs, and ``rho -v``'s per-set reports are formatted here from the arrays
-of the radius pass.
+of the radius pass. One writer, ``dumps``, produces the bytes of
+``json.dumps(payload, indent=2)``: each list of numbers at one depth goes
+through json's C encoder and is re-indented, since with an indent json
+itself would run its pure-Python encoder.
 
 Exit codes: 0 success or all checks passed, 1 a verification check failed,
 2 usage or input error, 3 internal or resource failure. Every refusal in
@@ -105,13 +108,63 @@ def _write(text: str, output: str | None) -> None:
         print(text)
         return
     try:
-        Path(output).write_text(text + "\n", encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)  # then the newline: no second copy of a large document
+            fh.write("\n")
     except OSError as exc:
         raise ValueError(f"cannot write {output}: {exc}") from exc
 
 
+def _number_depth(items: list | tuple) -> int:
+    """The depth of every leaf of a non-empty nested list whose leaves are
+    all numbers (or booleans) at one depth with no list empty, else 0."""
+    try:
+        a = np.asarray(items)
+    except ValueError:  # ragged
+        return 0
+    return a.ndim if a.size and a.dtype.kind in "biuf" else 0
+
+
+def _reindent(text: str, depth: int, level: int) -> str:
+    """Re-indent the compact ``json.dumps`` text of a list found by
+    ``_number_depth`` as the indent encoder lays it out at ``level``. Number
+    text holds no bracket, comma or space, so each boundary between leaves
+    is ``"]" * j + ", " + "[" * j``; the deepest boundaries go first."""
+    pad = ["\n" + "  " * (level + d) for d in range(depth + 1)]
+    for j in range(depth - 1, -1, -1):
+        closers = "".join(pad[d] + "]" for d in range(depth - 1, depth - 1 - j, -1))
+        openers = "".join(pad[d] + "[" for d in range(depth - j, depth))
+        text = text.replace("]" * j + ", " + "[" * j, closers + "," + openers + pad[depth])
+    head = "[" + "".join(pad[d] + "[" for d in range(1, depth)) + pad[depth]
+    tail = "".join(pad[d] + "]" for d in range(depth - 1, -1, -1))
+    return head + text[depth:-depth] + tail
+
+
+def dumps(o, level: int = 0) -> str:
+    """``json.dumps(o, indent=2)`` byte for byte, for dicts with str keys,
+    lists, tuples and JSON scalars. Every list of numbers at one depth goes
+    through json's C encoder and ``_reindent``; everything else is walked the
+    way the indent encoder walks it, with each scalar and key written by
+    ``json.dumps`` itself (so NaN, Infinity, -0.0 and escapes are json's)."""
+    if isinstance(o, dict):
+        items = [json.dumps(key) + ": " + dumps(value, level + 1) for key, value in o.items()]
+        brackets = "{}"
+    elif isinstance(o, (list, tuple)):
+        depth = _number_depth(o)
+        if depth:
+            return _reindent(json.dumps(o), depth, level)
+        items = [dumps(value, level + 1) for value in o]
+        brackets = "[]"
+    else:
+        return json.dumps(o)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+
+
 def _emit(payload: dict, output: str | None) -> None:
-    _write(json.dumps(payload, indent=2), output)
+    _write(dumps(payload), output)
 
 
 def _frame_summary(frame: Frame) -> dict:

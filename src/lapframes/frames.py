@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import ComponentDecomposition, Graph, components, contiguous_decomposition, laplacian
+from .graph import ComponentDecomposition, Graph, components, laplacian
 from .linalg import ZERO_TOL, hermitian_eigenvalues, symmetric_eig
 
 DUAL_TOL = 1e-8
@@ -92,19 +92,25 @@ def frame_from_graph(g: Graph) -> Frame:
     k = g.n - decomp.m
     if k == 0:
         raise ValueError("zero-dimensional frame: the graph has no edges")
-    lap = laplacian(g)
+    # Each component's edges relabelled 1..s in ascending label order (its
+    # block positions), so no n x n Laplacian is ever formed.
+    perm, offsets = decomp.perm, decomp.offsets
+    block_of = [j for j, size in enumerate(decomp.sizes) for _ in range(size)]
+    edges: dict[int, list[tuple[int, int]]] = {}
+    for u, v in g.edges:
+        pu, pv = perm[u - 1], perm[v - 1]
+        j = block_of[pu - 1]
+        edges.setdefault(j, []).append((pu - offsets[j], pv - offsets[j]))
     synthesis = np.zeros((k, g.n), dtype=complex)
     spectrum = np.zeros(k)
     row = 0
-    for j, block in enumerate(decomp.members()):
-        size = len(block)
+    for j, size in enumerate(decomp.sizes):
         if size == 1:
             continue
-        idx = np.asarray(block) - 1
-        dec = symmetric_eig(lap[np.ix_(idx, idx)], 1)
+        dec = symmetric_eig(laplacian(Graph(size, frozenset(edges[j]))), 1)
         lam = dec.values[: size - 1]
         m1 = dec.vectors[:, : size - 1]
-        col = decomp.offsets[j]
+        col = offsets[j]
         synthesis[row:row + size - 1, col:col + size] = np.sqrt(lam)[:, None] * m1.T
         spectrum[row:row + size - 1] = lam
         row += size - 1
@@ -192,13 +198,6 @@ def pairs(a: np.ndarray) -> list:
     return np.stack((a.real, a.imag), -1).tolist()
 
 
-def _pairs_to_matrix(pairs, k: int, n: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    if flat.size != k * n:
-        raise ValueError(f"expected {k * n} synthesis entries, got {flat.size}")
-    return flat.reshape(k, n)
-
-
 def _doc(f: Frame, matrix: np.ndarray) -> dict:
     return {
         "k": f.k,
@@ -212,15 +211,6 @@ def _doc(f: Frame, matrix: np.ndarray) -> dict:
 def frame_to_doc(f: Frame) -> dict:
     """JSON-ready document; synthesis is row-major [re, im] pairs."""
     return _doc(f, f.synthesis)
-
-
-def frame_from_doc(doc: dict) -> Frame:
-    """Rebuild a frame from its document; the layout is taken as block-ordered."""
-    k, n = int(doc["k"]), int(doc["n"])
-    layout = contiguous_decomposition(doc["components"])
-    synthesis = _pairs_to_matrix(doc["synthesis"], k, n)
-    spectrum = np.array([float(x) for x in doc["spectrum"]])
-    return Frame(k, n, synthesis, layout, spectrum)
 
 
 def dual_to_doc(d: DualFrame, f: Frame) -> dict:

@@ -7,7 +7,6 @@
 * ``small_complex_eigenvalues`` -- one matrix or a stack: closed-form quadratic
   for order <= 2 (cheaper than LAPACK at that size); ``eigvals`` for order
   >= 3, each root checked against the characteristic polynomial.
-* ``spectral_radius`` -- max eigenvalue magnitude via the route above.
 
 All kernels are pure functions of their inputs and deterministic.
 """
@@ -167,9 +166,3 @@ def small_complex_eigenvalues(a) -> np.ndarray:
             f"characteristic polynomial residual above {EIG_TOL:g} at root {eigs[bad][0]}"
         )
     return eigs
-
-
-def spectral_radius(a) -> float:
-    """Largest eigenvalue magnitude of a square complex matrix."""
-    eigs = small_complex_eigenvalues(a)
-    return float(np.max(np.abs(eigs)))

@@ -136,13 +136,9 @@ def singleton_shift_dual(f: Frame) -> DualFrame:
     return dual_from_params(f, shifts)
 
 
-def params_to_vector(shifts: np.ndarray) -> np.ndarray:
-    """Flatten k x m shifts to [Re nu_1, Im nu_1, Re nu_2, ...] of length 2*m*k."""
-    return np.stack([shifts.real.T, shifts.imag.T], axis=1).reshape(-1)
-
-
 def vector_to_params(x: np.ndarray, m: int, k: int) -> np.ndarray:
-    """The k x m shifts of a flat vector laid out as ``params_to_vector``'s."""
+    """The k x m shifts of a flat vector [Re nu_1, Im nu_1, Re nu_2, ...] of
+    length 2*m*k, nu_j being column j."""
     x = np.asarray(x, dtype=float)
     if x.size != 2 * m * k:
         raise ValueError(f"expected {2 * m * k} parameters, got {x.size}")

@@ -1,12 +1,19 @@
-"""Seeded random inputs for the property and verification suites."""
+"""Seeded random inputs for the property and verification suites, and the
+flat layout of a shift matrix that the search and its tests share."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .frames import Frame
-from .graph import Graph, components
-from .optimality import vector_to_params
+from lapframes.frames import Frame
+from lapframes.graph import Graph, components
+from lapframes.optimality import vector_to_params
+
+
+def params_to_vector(shifts: np.ndarray) -> np.ndarray:
+    """Flatten k x m shifts to [Re nu_1, Im nu_1, Re nu_2, ...] of length
+    2*m*k, the inverse of ``lapframes.optimality.vector_to_params``."""
+    return np.stack([shifts.real.T, shifts.imag.T], axis=1).reshape(-1)
 
 
 def random_graph(n: int, rng: np.random.Generator, p: float = 0.5) -> Graph:

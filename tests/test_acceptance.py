@@ -26,17 +26,17 @@ from lapframes import (
     worst_radius,
 )
 from lapframes.cli import set_reports
-from lapframes.optimality import params_to_vector
 from lapframes.reproduce import EXPECTED_RADII, LAPLACIAN_5
-from lapframes.sampling import (
+
+from conftest import K3_TEXT, K3K2_TEXT, K4_TEXT, assert_multiset_close, complex_of
+from sampling import (
+    params_to_vector,
     random_connected_graph,
     random_disconnected_graph,
     random_dual_params,
     random_graph,
     random_unitary,
 )
-
-from conftest import K3_TEXT, K3K2_TEXT, K4_TEXT, assert_multiset_close, complex_of
 
 
 def _k3k2():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,15 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapframes import cli, erasure, optimality, reproduce
 from lapframes.cli import main
 from lapframes.erasure import worst_radius
 from lapframes.frames import dual_from_params, frame_from_graph, pairs
+from lapframes.graph import parse_edge_list
 from lapframes.linalg import ConvergenceError
-from lapframes.sampling import random_connected_graph, random_disconnected_graph, random_dual_params
 
-from conftest import EDGE_TEXT, K3_TEXT, K3K2_TEXT
+from conftest import EDGE_TEXT, K3_TEXT, K3K2_TEXT, K4_TEXT
+from sampling import random_connected_graph, random_disconnected_graph, random_dual_params
 
 
 @pytest.fixture
@@ -350,19 +354,37 @@ def test_python_m_passes_exit_codes(tmp_path):
     assert done.stderr.startswith("error: cannot read missing.el")
 
 
-def test_python_m_memory_failure_exits_3(tmp_path):
+def _address_cap():
     resource = pytest.importorskip("resource")
-    cap = 2560 << 20  # the dense 30000 x 30000 Laplacian needs 6.7 GiB
+    cap = 2560 << 20
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
+    return limit
+
+
+def test_python_m_memory_failure_exits_3(tmp_path):
+    limit = _address_cap()  # C = Phi^H Psi on 30000 vertices is 13.4 GiB of complex
     (tmp_path / "big.el").write_text("n 30000\n1 2\n")
-    done = _python_m("build", "big.el", cwd=tmp_path, preexec_fn=limit)
+    done = _python_m("rho", "big.el", "-r", "1", cwd=tmp_path, preexec_fn=limit)
     assert done.returncode == 3
     assert done.stdout == ""
     assert done.stderr.startswith("error: MemoryError: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["build", "dual"])
+def test_python_m_many_components_fit_the_cap(tmp_path, command):
+    # one edge and 29998 isolated vertices: each component's Laplacian is
+    # built from its own edges, never the dense 6.7 GiB n x n matrix
+    limit = _address_cap()
+    (tmp_path / "big.el").write_text("n 30000\n1 2\n")
+    done = _python_m(command, "big.el", cwd=tmp_path, preexec_fn=limit)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    doc = json.loads(done.stdout)
+    assert doc["command"] == command and doc["dual" if command == "dual" else "frame"]["k"] == 1
 
 
 def test_reproduce_all_pass(capsys):
@@ -411,3 +433,89 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rho"])  # missing file and -r
     assert exc.value.code == 2
+
+
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**70),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]),
+    st.booleans(),
+)
+_SCALARS = st.one_of(
+    _NUMBERS,
+    st.none(),
+    st.text(max_size=6),
+    st.sampled_from(['", [', "]", "], [", '"', "\\", "é", "\u2603", ", "]),
+)
+
+
+@st.composite
+def _number_arrays(draw):
+    """Nested lists and tuples of numbers, all leaves at one depth: the
+    writer's C-encoder path."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    leaves = iter(draw(st.lists(_NUMBERS, min_size=math.prod(shape), max_size=math.prod(shape))))
+
+    def build(dims):
+        if not dims:
+            return next(leaves)
+        items = [build(dims[1:]) for _ in range(dims[0])]
+        return tuple(items) if draw(st.booleans()) else items
+
+    return build(shape)
+
+
+_DOCUMENTS = st.recursive(
+    st.one_of(_SCALARS, _number_arrays()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.sampled_from(['"', "é", "a, [b]"])),
+                        children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENTS)
+def test_writer_matches_json_indent_2(doc):
+    # ragged, empty, mixed-depth and nested-empty lists, tuples, escapes,
+    # NaN, +-Infinity, -0.0, subnormals, ints past 2**63, booleans, null
+    assert cli.dumps(doc) == json.dumps(doc, indent=2)
+
+
+def _documented_commands(graph, params, n):
+    yield ["build", graph]
+    yield ["dual", graph]
+    yield ["dual", graph, "--params", params]
+    for r in range(1, min(3, n - 1) + 1):
+        yield ["rho", graph, "-r", str(r)]
+        yield ["rho", graph, "-r", str(r), "-v"]
+        yield ["rho", graph, "-r", str(r), "-v", "--params", params]
+    yield ["verify", graph]
+    for r in range(1, min(2, n - 1) + 1):
+        yield ["search", graph, "-r", str(r), "--budget", "400"]  # past the grid pass here
+
+
+def test_every_report_is_json_indent_2(capsys, tmp_path, monkeypatch):
+    # the fixtures and 10 random graphs, every command, stdout and --output
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(29)
+    texts = [K3K2_TEXT, K3_TEXT, K4_TEXT, EDGE_TEXT]
+    for i in range(10):
+        g = random_disconnected_graph(rng) if i % 2 else random_connected_graph(rng, (3, 7))
+        texts.append(f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
+    argvs = [["reproduce", "--json"]]
+    for i, text in enumerate(texts):
+        f = frame_from_graph(parse_edge_list(text))
+        Path(f"g{i}.el").write_text(text)
+        Path(f"p{i}.json").write_text(json.dumps(pairs(random_dual_params(f, rng, scale=2.0).T)))
+        argvs += _documented_commands(f"g{i}.el", f"p{i}.json", f.n)
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1), argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+        assert main([*argv, "--output", "out.json"]) == code
+        assert Path("out.json").read_text(encoding="utf-8") == out, argv

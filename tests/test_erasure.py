@@ -26,15 +26,15 @@ from lapframes.reproduce import (
     SHIFTS,
     explicit_frame,
 )
-from lapframes.sampling import (
+
+from conftest import assert_multiset_close, complex_of
+from sampling import (
     random_connected_graph,
     random_disconnected_graph,
     random_dual_params,
     random_graph,
     random_unitary,
 )
-
-from conftest import assert_multiset_close, complex_of
 
 
 @pytest.fixture

@@ -5,14 +5,15 @@ import pytest
 
 from lapframes import (
     DualFrame,
+    Frame,
     Graph,
     apply_unitary,
     canonical_dual,
     components,
+    contiguous_decomposition,
     dual_from_params,
     dual_to_doc,
     frame_bounds,
-    frame_from_doc,
     frame_from_graph,
     frame_operator,
     frame_to_doc,
@@ -24,9 +25,20 @@ from lapframes import (
     symmetric_eig,
 )
 from lapframes.reproduce import EXPECTED_CANONICAL_VECTORS, explicit_frame
-from lapframes.sampling import random_dual_params, random_graph, random_unitary
 
 from conftest import K3K2_TEXT
+from sampling import random_dual_params, random_graph, random_unitary
+
+
+def frame_from_doc(doc: dict) -> Frame:
+    """Rebuild a frame from its document; the layout is taken as block-ordered."""
+    k, n = int(doc["k"]), int(doc["n"])
+    layout = contiguous_decomposition(doc["components"])
+    synthesis = np.array([complex(re, im) for re, im in doc["synthesis"]], dtype=complex)
+    if synthesis.size != k * n:
+        raise ValueError(f"expected {k * n} synthesis entries, got {synthesis.size}")
+    spectrum = np.array([float(x) for x in doc["spectrum"]])
+    return Frame(k, n, synthesis.reshape(k, n), layout, spectrum)
 
 
 def test_frame_from_graph_fixture(k3k2_frame):

@@ -17,9 +17,11 @@ from lapframes import (
     worst_radius,
 )
 from lapframes import erasure, frames
-from lapframes.optimality import params_to_vector, vector_to_params
+from lapframes.optimality import vector_to_params
 from lapframes.graph import Graph
-from lapframes.sampling import (
+
+from sampling import (
+    params_to_vector,
     random_connected_graph,
     random_disconnected_graph,
     random_dual_params,
