@@ -1,4 +1,14 @@
-"""Frames from graph Laplacians: duals, erasure radii, and optimality checks."""
+"""Frames from graph Laplacians: duals, erasure radii, and optimality checks.
+
+Importing the package before numpy pins OpenBLAS to one thread unless
+``OPENBLAS_NUM_THREADS`` is already set: no matrix at these sizes gains from
+the worker pool, and starting it costs every command-line query tens of
+milliseconds. Set the variable before the import to choose another count.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .erasure import ErasureSet, error_operator, reduced_error_matrix, worst_radius
 from .frames import (

@@ -15,6 +15,7 @@ set's matrices directly, as test oracles, and they still check duality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 from typing import NamedTuple
@@ -91,15 +92,27 @@ def reduced_error_matrix(f: Frame, d: DualFrame, lam: ErasureSet) -> np.ndarray:
     return f.synthesis[:, cols].conj().T @ d.vectors[:, cols]
 
 
+@lru_cache(maxsize=4)
+def _enumerate(n: int, r: int) -> np.ndarray:
+    total = comb(n, r)
+    flat = chain.from_iterable(combinations(range(n), r))
+    sets = np.fromiter(flat, dtype=np.intp, count=total * r).reshape(total, r)
+    sets.flags.writeable = False
+    return sets
+
+
 def _erasure_sets(n: int, r: int) -> np.ndarray:
-    """All C(n, r) sets as rows of 0-based indices, in lexicographic order."""
+    """All C(n, r) sets as rows of 0-based indices, in lexicographic order.
+
+    The array is cached per (n, r) and read-only; the range and the cap are
+    checked on every call, before the cache is consulted.
+    """
     if not 1 <= r < n:
         raise ValueError(f"erasure size r={r} outside [1, {n - 1}]")
     total = comb(n, r)
     if total > MAX_SETS:
         raise EnumerationCapError(f"C({n}, {r}) = {total} exceeds the enumeration cap {MAX_SETS}")
-    flat = chain.from_iterable(combinations(range(n), r))
-    return np.fromiter(flat, dtype=np.intp, count=total * r).reshape(total, r)
+    return _enumerate(n, r)
 
 
 def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
@@ -111,12 +124,12 @@ def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
     result is independent of evaluation order.
     """
     sets = _erasure_sets(f.n, r)
-    c = f.synthesis.conj().T @ d.vectors
+    c = f.analysis @ d.vectors
     spectra = np.empty(sets.shape, dtype=complex)
     for start in range(0, len(sets), CHUNK_SETS):
         idx = sets[start:start + CHUNK_SETS]
         spectra[start:start + len(idx)] = small_complex_eigenvalues(c[idx[:, :, None], idx[:, None, :]])
-    radii = np.max(np.abs(spectra), axis=1)
-    best = float(np.max(radii))
-    witness = sets[np.argmax(radii >= best - TIE_TOL)]
+    radii = np.abs(spectra).max(axis=1)
+    best = float(radii.max())
+    witness = sets[(radii >= best - TIE_TOL).argmax()]
     return RhoResult(best, ErasureSet(tuple(int(i) + 1 for i in witness)), c, sets, spectra)

@@ -12,8 +12,11 @@ Psi = Psi_canonical + V B^T, with V the k x m matrix of shifts and B the
 n x m component indicator, and a ``DualFrame`` carries both Psi and V. The
 canonical dual is computed once per frame (``Frame.canonical``) and every
 shifted dual is built from it by ``dual_from_params``. Each dual is checked
-once, where it is built: both functions run ``is_dual`` before returning,
-so code that receives a ``DualFrame`` need not check it again.
+once, where it is built, so code that receives a ``DualFrame`` need not
+check it again. ``canonical_dual`` runs ``is_dual``. ``dual_from_params``
+first tries an O(k^2 m) certificate from the same structure,
+Psi Phi^H - I = (Psi_canonical Phi^H - I) + V (Phi B)^H, and runs
+``is_dual`` on the formed dual only when the certificate cannot vouch for it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .linalg import ZERO_TOL, hermitian_eigenvalues, symmetric_eig
 
 DUAL_TOL = 1e-8
 UNITARY_TOL = 1e-9
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,9 @@ class Frame:
     ``synthesis`` is k x n complex with column i the i-th frame vector (in
     block order); ``spectrum`` lists the nonzero Laplacian eigenvalues in
     block order, descending inside each block. ``synthesis`` is made
-    read-only, so the memoized ``canonical`` dual cannot go stale.
+    read-only, so the memos below (the canonical dual, the duality
+    certificate's terms, the block index and the analysis Phi^H) cannot go
+    stale.
     """
 
     k: int
@@ -66,6 +72,31 @@ class Frame:
         dual.shifts.flags.writeable = False
         return dual
 
+    @cached_property
+    def block(self) -> np.ndarray:
+        """Component index of every column, in block order (read-only)."""
+        block = np.repeat(np.arange(self.layout.m), self.layout.sizes)
+        block.flags.writeable = False
+        return block
+
+    @cached_property
+    def analysis(self) -> np.ndarray:
+        """Phi^H, the n x k analysis matrix (read-only)."""
+        analysis = self.synthesis.conj().T
+        analysis.flags.writeable = False
+        return analysis
+
+    @cached_property
+    def certificate(self) -> DualityTerms:
+        """The shift-independent terms of ``dual_from_params``'s certificate."""
+        canon = self.canonical.vectors
+        return DualityTerms(
+            canon @ self.analysis - np.eye(self.k),
+            np.add.reduceat(self.synthesis, self.layout.offsets[:-1], axis=1).conj().T,
+            float(np.abs(canon).max()),
+            float(np.abs(self.synthesis).sum(axis=1).max()),
+        )
+
 
 @dataclass(frozen=True)
 class DualFrame:
@@ -81,6 +112,17 @@ class DualityCheck(NamedTuple):
     residual: float
 
 
+class DualityTerms(NamedTuple):
+    """Per-frame terms of the duality certificate: E = Psi_canonical Phi^H - I
+    (k x k), P = (Phi B)^H (m x k, Phi B being each block's column sum),
+    max |Psi_canonical| and the largest row 1-norm of Phi."""
+
+    error: np.ndarray
+    block_sums: np.ndarray
+    canonical_max: float
+    row_norm: float
+
+
 def frame_from_graph(g: Graph) -> Frame:
     """Build the Laplacian frame of a graph, one component block at a time.
 
@@ -94,23 +136,24 @@ def frame_from_graph(g: Graph) -> Frame:
         raise ValueError("zero-dimensional frame: the graph has no edges")
     # Each component's edges relabelled 1..s in ascending label order (its
     # block positions), so no n x n Laplacian is ever formed.
-    perm, offsets = decomp.perm, decomp.offsets
-    block_of = [j for j, size in enumerate(decomp.sizes) for _ in range(size)]
-    edges: dict[int, list[tuple[int, int]]] = {}
-    for u, v in g.edges:
-        pu, pv = perm[u - 1], perm[v - 1]
-        j = block_of[pu - 1]
-        edges.setdefault(j, []).append((pu - offsets[j], pv - offsets[j]))
+    pos = np.asarray(decomp.perm)[g.edge_array - 1]  # 1-based block positions
+    comp = np.repeat(np.arange(decomp.m), decomp.sizes)[pos[:, 0] - 1]
+    order = np.argsort(comp, kind="stable")
+    pos, comp = pos[order], comp[order]
+    local = (pos - np.asarray(decomp.offsets)[comp][:, None]).T.tolist()
+    bounds = np.searchsorted(comp, np.arange(decomp.m + 1)).tolist()
     synthesis = np.zeros((k, g.n), dtype=complex)
     spectrum = np.zeros(k)
     row = 0
     for j, size in enumerate(decomp.sizes):
         if size == 1:
             continue
-        dec = symmetric_eig(laplacian(Graph(size, frozenset(edges[j]))), 1)
+        lo, hi = bounds[j], bounds[j + 1]
+        own = Graph(size, frozenset(zip(local[0][lo:hi], local[1][lo:hi])))
+        dec = symmetric_eig(laplacian(own), 1)
         lam = dec.values[: size - 1]
         m1 = dec.vectors[:, : size - 1]
-        col = offsets[j]
+        col = decomp.offsets[j]
         synthesis[row:row + size - 1, col:col + size] = np.sqrt(lam)[:, None] * m1.T
         spectrum[row:row + size - 1] = lam
         row += size - 1
@@ -158,14 +201,25 @@ def dual_from_params(f: Frame, shifts: np.ndarray) -> DualFrame:
     """Canonical dual plus one constant shift per component block: the k x m
     ``shifts`` V add column j to every dual vector of block j.
 
-    Duality is verified, not assumed; a residual above ``DUAL_TOL`` raises
-    (a NaN or huge shift is refused there).
+    Duality is verified, not assumed. The dual is accepted without a k x n x k
+    product when max |E + V P| plus a rounding bound,
+    n eps (max |Psi_canonical| + max |V|) max_row ||Phi||_1, is within
+    ``DUAL_TOL`` (``Frame.certificate`` holds E, P and the two maxima). The
+    bound covers forming Psi_canonical + V B^T and also ``is_dual``'s own
+    n-term products, so the certificate accepts only duals that ``is_dual``
+    accepts. Otherwise ``is_dual`` decides on the formed dual, so a NaN or
+    huge shift is refused there with its residual, as without the certificate.
     """
     shifts = np.asarray(shifts, dtype=complex)
     if shifts.shape != (f.k, f.layout.m):
         raise ValueError(f"shifts must be {f.k} x {f.layout.m}, got {shifts.shape}")
-    block = np.repeat(np.arange(f.layout.m), f.layout.sizes)
-    dual = DualFrame(f.canonical.vectors + shifts[:, block], shifts)
+    dual = DualFrame(f.canonical.vectors + shifts[:, f.block], shifts)
+    terms = f.certificate
+    with np.errstate(all="ignore"):  # a NaN or inf bound defers to is_dual
+        residual = np.abs(terms.error + shifts @ terms.block_sums).max()
+        rounding = f.n * EPS * (terms.canonical_max + np.abs(shifts).max()) * terms.row_norm
+    if residual + rounding <= DUAL_TOL:
+        return dual
     check = is_dual(f, dual)
     if not check.ok:
         raise ValueError(f"duality residual {check.residual:.3e} above {DUAL_TOL:g}")
@@ -178,7 +232,7 @@ def is_dual(f: Frame, d: DualFrame) -> DualityCheck:
         raise ValueError(
             f"dimension mismatch: dual {d.vectors.shape} vs frame {f.synthesis.shape}"
         )
-    residual = float(np.max(np.abs(d.vectors @ f.synthesis.conj().T - np.eye(f.k))))
+    residual = float(np.abs(d.vectors @ f.analysis - np.eye(f.k)).max())
     return DualityCheck(residual <= DUAL_TOL, residual)
 
 

@@ -9,6 +9,8 @@ boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -22,7 +24,8 @@ class Graph:
     """A simple undirected graph on vertices 1..n.
 
     Edges are stored as unordered pairs (u, v) with u < v. No self-loops,
-    no duplicates, every endpoint in [1, n].
+    no duplicates, every endpoint in [1, n]. The first edge (in iteration
+    order) that breaks a rule is the one reported.
     """
 
     n: int
@@ -31,11 +34,22 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"vertex count must be positive, got {self.n}")
-        for u, v in self.edges:
+        u, v = self.edge_array.T
+        bad = (u == v) | (u < 1) | (u >= v) | (v > self.n)
+        if bad.any():
+            u, v = self.edge_array[bad.argmax()].tolist()
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+            raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as an E x 2 integer array of labels, in the set's
+        iteration order (read-only)."""
+        flat = chain.from_iterable(self.edges)
+        edges = np.fromiter(flat, dtype=np.int64, count=2 * len(self.edges)).reshape(-1, 2)
+        edges.flags.writeable = False
+        return edges
 
     @property
     def edge_count(self) -> int:
@@ -129,12 +143,10 @@ def parse_edge_list(text: str) -> Graph:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Integer Laplacian matrix L = D - A; symmetric with zero row sums."""
+    u, v = (g.edge_array - 1).T
     lap = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges:
-        lap[u - 1, v - 1] -= 1
-        lap[v - 1, u - 1] -= 1
-        lap[u - 1, u - 1] += 1
-        lap[v - 1, v - 1] += 1
+    lap[u, v] = lap[v, u] = -1
+    lap[np.diag_indices(g.n)] = np.bincount(u, minlength=g.n) + np.bincount(v, minlength=g.n)
     return lap
 
 

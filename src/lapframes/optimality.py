@@ -316,7 +316,7 @@ def _order_report(f: Frame, r: int, probe: ProbeReport | None) -> OptimalityRepo
                 _detail(f"component {j + 1} pairings equal {s - 1}/{s}", 0.0, worst, RADIUS_TOL)
             )
     else:
-        comp = np.repeat(np.arange(f.layout.m), sizes)[result.sets]  # component of each index
+        comp = f.block[result.sets]  # component of each index
         inside = comp[:, 0] == comp[:, 1]
         spectra, comp = result.spectra[inside], comp[inside, 0]
         for j, s in enumerate(sizes):

@@ -354,6 +354,32 @@ def test_python_m_passes_exit_codes(tmp_path):
     assert done.stderr.startswith("error: cannot read missing.el")
 
 
+_THREADS = ("import os, sys, lapframes; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1)")
+
+
+def _import_lapframes(tmp_path, threads=None):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    done = subprocess.run([sys.executable, "-c", _THREADS], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    value, tasks = done.stdout.split()
+    return value, int(tasks)
+
+
+def test_import_pins_one_blas_thread(tmp_path):
+    # numpy loads after the pin, so OpenBLAS starts no worker threads
+    assert _import_lapframes(tmp_path) == ("1", 1)
+
+
+def test_import_keeps_a_preset_thread_count(tmp_path):
+    assert _import_lapframes(tmp_path, "2")[0] == "2"
+
+
 def _address_cap():
     resource = pytest.importorskip("resource")
     cap = 2560 << 20

@@ -156,6 +156,18 @@ def test_worst_radius_rejects_bad_r(explicit, monkeypatch):
         worst_radius(f, canon, 2)
 
 
+def test_erasure_sets_are_cached_read_only_and_capped_every_call(k3k2_frame, monkeypatch):
+    sets = erasure._erasure_sets(5, 2)
+    assert erasure._erasure_sets(5, 2) is sets
+    assert sets.tolist() == [list(s) for s in combinations(range(5), 2)]
+    with pytest.raises(ValueError, match="read-only"):
+        sets[0, 0] = 1
+    worst_radius(k3k2_frame, k3k2_frame.canonical, 2)  # (5, 2) now cached
+    monkeypatch.setattr(erasure, "MAX_SETS", 9)
+    with pytest.raises(EnumerationCapError, match=r"C\(5, 2\) = 10 exceeds the enumeration cap 9"):
+        worst_radius(k3k2_frame, k3k2_frame.canonical, 2)
+
+
 def test_reduced_and_full_spectra_agree():
     # 200 random (frame, dual, erasure) triples, r <= 4
     rng = np.random.default_rng(43)

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapframes import (
+    DUAL_TOL,
     DualFrame,
     Frame,
     Graph,
@@ -24,6 +27,7 @@ from lapframes import (
     permuted_laplacian,
     symmetric_eig,
 )
+from lapframes import frames
 from lapframes.reproduce import EXPECTED_CANONICAL_VECTORS, explicit_frame
 
 from conftest import K3K2_TEXT
@@ -126,6 +130,71 @@ def test_canonical_memo_and_synthesis_are_read_only(k3k2_frame):
         k3k2_frame.canonical.shifts[0, 0] = 1
     with pytest.raises(ValueError, match="read-only"):
         k3k2_frame.synthesis[0, 0] = 1
+    for memo in (k3k2_frame.block, k3k2_frame.analysis):
+        with pytest.raises(ValueError, match="read-only"):
+            memo[0] = 0
+
+
+def _decide(f, shifts):
+    """``dual_from_params``'s verdict: None if accepted, else its message."""
+    try:
+        dual_from_params(f, shifts)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _graph_and_shifts(draw):
+    # small graphs with K2 and singleton components among them; shift norms
+    # log-uniform over [1e-3, 1e20], and sometimes one NaN or infinite entry
+    n = draw(st.integers(2, 7))
+    pairs_ = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs_), max_size=len(pairs_)))
+    edges = frozenset(e for e, on in zip(pairs_, keep) if on) or frozenset({(1, 2)})
+    f = frame_from_graph(Graph(n, edges))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shifts = rng.normal(size=(f.k, f.layout.m)) + 1j * rng.normal(size=(f.k, f.layout.m))
+    shifts *= 10.0 ** draw(st.floats(-3.0, 20.0)) / np.linalg.norm(shifts)
+    special = draw(st.sampled_from([None, np.nan, np.inf, -np.inf, complex(0, np.inf)]))
+    if special is not None:
+        shifts[draw(st.integers(0, f.k - 1)), draw(st.integers(0, f.layout.m - 1))] = special
+    return f, shifts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_shifts())
+def test_certificate_decides_as_is_dual(case):
+    f, shifts = case
+    with np.errstate(invalid="ignore", over="ignore"):  # is_dual on NaN or inf shifts
+        verdict = _decide(f, shifts)
+        check = is_dual(f, DualFrame(f.canonical.vectors + shifts[:, f.block], shifts))
+    expected = None if check.ok else f"duality residual {check.residual:.3e} above {DUAL_TOL:g}"
+    assert verdict == expected
+
+
+def test_certificate_keeps_the_single_edge_refusals(edge_frame):
+    # Phi B is exactly 0 on K2, so |E + V P| is 0 for every shift and only the
+    # rounding term sends 1e20 to is_dual, which refuses it: the formed dual
+    # has lost the canonical part
+    assert _decide(edge_frame, [[1e20]]) == "duality residual 1.000e+00 above 1e-08"
+    assert _decide(edge_frame, [[np.nan]]) == "duality residual nan above 1e-08"
+    assert _decide(edge_frame, [[1e9]]) is None
+    assert _decide(edge_frame, [[1e12]]) is None
+
+
+def test_certificate_skips_the_product_for_moderate_shifts(monkeypatch, k3k2_frame):
+    rng = np.random.default_rng(41)
+    k3k2_frame.canonical  # its own is_dual check runs before the spy
+    calls = []
+    check = frames.is_dual
+    monkeypatch.setattr(frames, "is_dual", lambda f, d: calls.append(d) or check(f, d))
+    for _ in range(20):
+        dual_from_params(k3k2_frame, random_dual_params(k3k2_frame, rng))
+    assert calls == []
+    with pytest.raises(ValueError, match="duality residual 2.550e-04 above 1e-08"):
+        dual_from_params(k3k2_frame, [[1e12, 0], [0, 0], [0, 0]])
+    assert len(calls) == 1
 
 
 def test_dual_from_params_zero_is_canonical(k3k2_frame):

@@ -16,7 +16,7 @@ from lapframes import (
     verify_order,
     worst_radius,
 )
-from lapframes import erasure, frames
+from lapframes import erasure, frames, optimality
 from lapframes.optimality import vector_to_params
 from lapframes.graph import Graph
 
@@ -169,19 +169,31 @@ def test_search_computes_canonical_dual_once(monkeypatch, k3k2_frame):
 
 
 def test_search_checks_each_dual_once(monkeypatch, k3k2_frame):
-    # one check for the canonical dual, one per shifted dual the search builds
-    calls = []
-    check = frames.is_dual
+    # one duality decision per dual: is_dual for the canonical dual, and for
+    # each shifted dual either the certificate or, failing it, one is_dual
+    checks, per_dual = [], []
+    check, build = frames.is_dual, frames.dual_from_params
 
-    def counted(f, d, *args):
-        calls.append(d)
+    def counted_check(f, d, *args):
+        checks.append(d)
         return check(f, d, *args)
 
-    monkeypatch.setattr(frames, "is_dual", counted)
-    monkeypatch.setattr(erasure, "is_dual", counted)
+    def counted_build(f, shifts):
+        before = len(checks)
+        dual = build(f, shifts)
+        per_dual.append(len(checks) - before)
+        return dual
+
+    monkeypatch.setattr(frames, "is_dual", counted_check)
+    monkeypatch.setattr(erasure, "is_dual", counted_check)
+    monkeypatch.setattr(optimality, "dual_from_params", counted_build)
+    assert k3k2_frame.canonical is not None and len(checks) == 1
     report = search_optimal_dual(k3k2_frame, 1)
-    assert report.evaluations > 1
-    assert len(calls) == report.evaluations + 1
+    assert len(per_dual) == report.evaluations > 1
+    assert max(per_dual) <= 1
+    assert len(checks) == 1 + sum(per_dual)
+    # shifts of the search's scale are all decided by the certificate
+    assert sum(per_dual) == 0
 
 
 def test_connected_law_sample():
