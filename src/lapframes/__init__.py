@@ -15,7 +15,6 @@ from .frames import (
     DUAL_TOL,
     DualFrame,
     Frame,
-    apply_unitary,
     canonical_dual,
     dual_from_params,
     dual_to_doc,

@@ -1,4 +1,4 @@
-"""Frames built from graph Laplacians, their duals, and transforms.
+"""Frames built from graph Laplacians, and their duals.
 
 A frame here is a k x n complex synthesis matrix whose columns are the
 frame vectors, built one connected component at a time: each component's
@@ -7,15 +7,20 @@ eigenvector rows are scaled by sqrt(eigenvalue), and the blocks are placed
 on the diagonal of the synthesis matrix. Columns follow the component
 block ordering of the underlying graph.
 
+Each row of Phi is sqrt(lambda) times an orthonormal eigenvector, so the
+frame operator S = Phi Phi^H is diag(spectrum): the frame bounds are the
+spectrum's extremes and the canonical dual S^-1 Phi is Phi / lambda.
+``canonical_dual`` checks E = Psi_canonical Phi^H - I once, which catches a
+frame whose rows break that fact.
+
 Every dual is the canonical dual plus one constant shift per component:
 Psi = Psi_canonical + V B^T, with V the k x m matrix of shifts and B the
 n x m component indicator, and a ``DualFrame`` carries both Psi and V. The
 canonical dual is computed once per frame (``Frame.canonical``) and every
 shifted dual is built from it by ``dual_from_params``. Each dual is checked
 once, where it is built, so code that receives a ``DualFrame`` need not
-check it again. ``canonical_dual`` runs ``is_dual``. ``dual_from_params``
-first tries an O(k^2 m) certificate from the same structure,
-Psi Phi^H - I = (Psi_canonical Phi^H - I) + V (Phi B)^H, and runs
+check it again. ``dual_from_params`` first tries an O(k^2 m) certificate
+from the same structure, Psi Phi^H - I = E + V (Phi B)^H, and runs
 ``is_dual`` on the formed dual only when the certificate cannot vouch for it.
 """
 
@@ -28,10 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import ComponentDecomposition, Graph, components, laplacian
-from .linalg import ZERO_TOL, hermitian_eigenvalues, symmetric_eig
+from .linalg import ZERO_TOL, symmetric_eig
 
 DUAL_TOL = 1e-8
-UNITARY_TOL = 1e-9
 EPS = float(np.finfo(float).eps)
 
 
@@ -41,10 +45,10 @@ class Frame:
 
     ``synthesis`` is k x n complex with column i the i-th frame vector (in
     block order); ``spectrum`` lists the nonzero Laplacian eigenvalues in
-    block order, descending inside each block. ``synthesis`` is made
-    read-only, so the memos below (the canonical dual, the duality
-    certificate's terms, the block index and the analysis Phi^H) cannot go
-    stale.
+    block order, descending inside each block; the frame operator
+    Phi Phi^H is diag(spectrum). ``synthesis`` and ``spectrum`` are made
+    read-only, so the memos below (the duality certificate's terms, the
+    canonical dual, the block index and the analysis Phi^H) cannot go stale.
     """
 
     k: int
@@ -63,14 +67,12 @@ class Frame:
         if self.spectrum.shape != (self.k,):
             raise ValueError("spectrum length must equal the ambient dimension")
         self.synthesis.flags.writeable = False
+        self.spectrum.flags.writeable = False
 
     @cached_property
     def canonical(self) -> DualFrame:
         """The canonical dual, computed once per frame; its arrays are read-only."""
-        dual = canonical_dual(self)
-        dual.vectors.flags.writeable = False
-        dual.shifts.flags.writeable = False
-        return dual
+        return canonical_dual(self)
 
     @cached_property
     def block(self) -> np.ndarray:
@@ -88,10 +90,15 @@ class Frame:
 
     @cached_property
     def certificate(self) -> DualityTerms:
-        """The shift-independent terms of ``dual_from_params``'s certificate."""
-        canon = self.canonical.vectors
+        """Phi / spectrum and the shift-independent duality terms, unchecked:
+        ``canonical_dual`` decides on their E before any other reader."""
+        with np.errstate(all="ignore"):  # a zero in the spectrum gives a NaN E
+            canon = self.synthesis / self.spectrum[:, None]
+            error = canon @ self.analysis - np.eye(self.k)
+        canon.flags.writeable = False
         return DualityTerms(
-            canon @ self.analysis - np.eye(self.k),
+            canon,
+            error,
             np.add.reduceat(self.synthesis, self.layout.offsets[:-1], axis=1).conj().T,
             float(np.abs(canon).max()),
             float(np.abs(self.synthesis).sum(axis=1).max()),
@@ -113,10 +120,12 @@ class DualityCheck(NamedTuple):
 
 
 class DualityTerms(NamedTuple):
-    """Per-frame terms of the duality certificate: E = Psi_canonical Phi^H - I
-    (k x k), P = (Phi B)^H (m x k, Phi B being each block's column sum),
+    """Per-frame terms of the duality certificate: Psi_canonical = Phi /
+    spectrum (k x n, read-only), E = Psi_canonical Phi^H - I (k x k),
+    P = (Phi B)^H (m x k, Phi B being each block's column sum),
     max |Psi_canonical| and the largest row 1-norm of Phi."""
 
+    canonical: np.ndarray
     error: np.ndarray
     block_sums: np.ndarray
     canonical_max: float
@@ -172,29 +181,27 @@ def frame_operator(f: Frame) -> np.ndarray:
 
 
 def frame_bounds(f: Frame) -> tuple[float, float]:
-    """(lower, upper) frame bounds: extreme eigenvalues of the frame operator."""
-    values = hermitian_eigenvalues(frame_operator(f))
-    lower, upper = float(values[-1]), float(values[0])
-    if lower <= ZERO_TOL:
+    """(lower, upper) frame bounds: the frame operator is diag(spectrum), so
+    they are the spectrum's extremes."""
+    lower, upper = float(f.spectrum.min()), float(f.spectrum.max())
+    if not lower > ZERO_TOL:
         raise ValueError(f"not a frame: lower bound {lower:.3e} <= {ZERO_TOL:g}")
     return lower, upper
 
 
 def canonical_dual(f: Frame) -> DualFrame:
-    """Apply the inverse frame operator to every frame vector.
+    """Phi / spectrum with zero shifts, since the frame operator is diag(spectrum).
 
-    This is the one computation behind ``f.canonical``; read that instead.
+    Refuses unless max |E| (``Frame.certificate``) is within ``DUAL_TOL``, so a
+    NaN or rows that break that fact are caught. Read ``f.canonical`` instead.
     """
-    s = frame_operator(f)
-    try:
-        vectors = np.linalg.solve(s, f.synthesis)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular frame operator") from exc
-    dual = DualFrame(vectors, np.zeros((f.k, f.layout.m), dtype=complex))
-    check = is_dual(f, dual)
-    if not check.ok:
-        raise ValueError(f"canonical dual residual {check.residual:.3e} above {DUAL_TOL:g}")
-    return dual
+    terms = f.certificate
+    residual = float(np.abs(terms.error).max())
+    if not residual <= DUAL_TOL:
+        raise ValueError(f"canonical dual residual {residual:.3e} above {DUAL_TOL:g}")
+    shifts = np.zeros((f.k, f.layout.m), dtype=complex)
+    shifts.flags.writeable = False
+    return DualFrame(terms.canonical, shifts)
 
 
 def dual_from_params(f: Frame, shifts: np.ndarray) -> DualFrame:
@@ -232,18 +239,9 @@ def is_dual(f: Frame, d: DualFrame) -> DualityCheck:
         raise ValueError(
             f"dimension mismatch: dual {d.vectors.shape} vs frame {f.synthesis.shape}"
         )
-    residual = float(np.abs(d.vectors @ f.analysis - np.eye(f.k)).max())
+    with np.errstate(all="ignore"):  # a NaN or infinite dual gives a NaN residual
+        residual = float(np.abs(d.vectors @ f.analysis - np.eye(f.k)).max())
     return DualityCheck(residual <= DUAL_TOL, residual)
-
-
-def apply_unitary(f: Frame, u) -> Frame:
-    """Map every frame vector through a unitary; the Gramian is unchanged."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (f.k, f.k):
-        raise ValueError(f"unitary must be {f.k} x {f.k}, got {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(f.k))) > UNITARY_TOL:
-        raise ValueError("matrix is not unitary within tolerance")
-    return Frame(f.k, f.n, u @ f.synthesis, f.layout, f.spectrum)
 
 
 def pairs(a: np.ndarray) -> list:

@@ -41,12 +41,10 @@ class EigenDecomposition:
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
     """Make the first entry of largest magnitude in each column positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        lead = int(np.argmax(np.abs(out[:, j])))
-        if out[lead, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    if not vectors.size:
+        return vectors.copy()
+    lead = np.abs(vectors).argmax(axis=0)  # argmax keeps the first of tied entries
+    return vectors * np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
 
 
 def symmetric_eig(a, expected_zero_count: int) -> EigenDecomposition:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lapframes.frames import Frame
+from lapframes.frames import DualFrame, Frame
 from lapframes.graph import Graph, components
 from lapframes.optimality import vector_to_params
 
@@ -104,6 +104,13 @@ def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def rotated(f: Frame, d: DualFrame, u: np.ndarray) -> tuple[Frame, DualFrame]:
+    """(U Phi, U Psi with shifts U V), formed directly. U Phi keeps the
+    Gramian, but its frame operator U diag(spectrum) U^H is not its spectrum,
+    so its ``canonical`` refuses and no dual of it is built from that."""
+    return Frame(f.k, f.n, u @ f.synthesis, f.layout, f.spectrum), DualFrame(u @ d.vectors, u @ d.shifts)
 
 
 def random_dual_params(f: Frame, rng: np.random.Generator, scale: float = 10.0) -> np.ndarray:

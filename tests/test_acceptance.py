@@ -10,7 +10,6 @@ import numpy as np
 from lapframes import (
     ErasureSet,
     alternate_optimal_dual,
-    apply_unitary,
     canonical_dual,
     dual_from_params,
     error_operator,
@@ -36,6 +35,7 @@ from sampling import (
     random_dual_params,
     random_graph,
     random_unitary,
+    rotated,
 )
 
 
@@ -177,9 +177,8 @@ def test_criterion_8_unitary_invariance():
     rng = np.random.default_rng(808)
     for _ in range(20):
         u = random_unitary(3, rng)
-        mapped = apply_unitary(frame, u)
         for name, dual in (("canonical", canon), ("shifted", shifted)):
-            mapped_dual = dual_from_params(mapped, u @ dual.shifts)
+            mapped, mapped_dual = rotated(frame, dual, u)
             for r in (1, 2):
                 radius = worst_radius(mapped, mapped_dual, r).radius
                 assert abs(radius - base[(name, r)]) <= 1e-8

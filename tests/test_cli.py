@@ -354,6 +354,17 @@ def test_python_m_passes_exit_codes(tmp_path):
     assert done.stderr.startswith("error: cannot read missing.el")
 
 
+@pytest.mark.parametrize("command", [["dual", "edge.el"], ["rho", "edge.el", "-r", "1"]])
+def test_python_m_infinite_shift_prints_one_error_line(tmp_path, command):
+    # json.loads accepts Infinity; the duality check's NaN residual refuses
+    # it, with no numpy warning on stderr above the error line
+    (tmp_path / "edge.el").write_text(EDGE_TEXT)
+    (tmp_path / "inf.json").write_text("[[[Infinity, 0]]]")
+    done = _python_m(*command, "--params", "inf.json", cwd=tmp_path)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: duality residual nan above 1e-08\n"
+
+
 _THREADS = ("import os, sys, lapframes; "
             "print(os.environ['OPENBLAS_NUM_THREADS'], "
             "len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1)")

@@ -6,7 +6,6 @@ import pytest
 
 from lapframes import (
     ErasureSet,
-    apply_unitary,
     canonical_dual,
     dual_from_params,
     erasure,
@@ -34,6 +33,7 @@ from sampling import (
     random_dual_params,
     random_graph,
     random_unitary,
+    rotated,
 )
 
 
@@ -267,9 +267,7 @@ def test_worst_radius_unitary_invariance(k3k2_frame, k3k2_canonical):
         base1 = worst_radius(f, dual, 1).radius
         base2 = worst_radius(f, dual, 2).radius
         for _ in range(5):
-            u = random_unitary(f.k, rng)
-            fu = apply_unitary(f, u)
-            du = dual_from_params(fu, u @ shifts)
+            fu, du = rotated(f, dual, random_unitary(f.k, rng))
             assert abs(worst_radius(fu, du, 1).radius - base1) <= 1e-8
             assert abs(worst_radius(fu, du, 2).radius - base2) <= 1e-8
 

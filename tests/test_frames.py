@@ -10,7 +10,6 @@ from lapframes import (
     DualFrame,
     Frame,
     Graph,
-    apply_unitary,
     canonical_dual,
     components,
     contiguous_decomposition,
@@ -31,7 +30,7 @@ from lapframes import frames
 from lapframes.reproduce import EXPECTED_CANONICAL_VECTORS, explicit_frame
 
 from conftest import K3K2_TEXT
-from sampling import random_dual_params, random_graph, random_unitary
+from sampling import random_dual_params, random_graph, random_unitary, rotated
 
 
 def frame_from_doc(doc: dict) -> Frame:
@@ -130,6 +129,8 @@ def test_canonical_memo_and_synthesis_are_read_only(k3k2_frame):
         k3k2_frame.canonical.shifts[0, 0] = 1
     with pytest.raises(ValueError, match="read-only"):
         k3k2_frame.synthesis[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        k3k2_frame.spectrum[0] = 1
     for memo in (k3k2_frame.block, k3k2_frame.analysis):
         with pytest.raises(ValueError, match="read-only"):
             memo[0] = 0
@@ -166,9 +167,8 @@ def _graph_and_shifts(draw):
 @given(_graph_and_shifts())
 def test_certificate_decides_as_is_dual(case):
     f, shifts = case
-    with np.errstate(invalid="ignore", over="ignore"):  # is_dual on NaN or inf shifts
-        verdict = _decide(f, shifts)
-        check = is_dual(f, DualFrame(f.canonical.vectors + shifts[:, f.block], shifts))
+    verdict = _decide(f, shifts)
+    check = is_dual(f, DualFrame(f.canonical.vectors + shifts[:, f.block], shifts))
     expected = None if check.ok else f"duality residual {check.residual:.3e} above {DUAL_TOL:g}"
     assert verdict == expected
 
@@ -179,6 +179,7 @@ def test_certificate_keeps_the_single_edge_refusals(edge_frame):
     # has lost the canonical part
     assert _decide(edge_frame, [[1e20]]) == "duality residual 1.000e+00 above 1e-08"
     assert _decide(edge_frame, [[np.nan]]) == "duality residual nan above 1e-08"
+    assert _decide(edge_frame, [[np.inf]]) == "duality residual nan above 1e-08"
     assert _decide(edge_frame, [[1e9]]) is None
     assert _decide(edge_frame, [[1e12]]) is None
 
@@ -238,7 +239,8 @@ def test_random_shifts_always_dual(k3k2_frame):
 
 
 def test_shifted_dual_commutes_with_unitary():
-    # canonical(U Phi) = U canonical(Phi), so shifting by U V gives U Psi
+    # canonical(U Phi) = U canonical(Phi), so shifting by U V gives U Psi;
+    # U Phi's canonical dual is taken from the general formula S^-1 U Phi
     rng = np.random.default_rng(29)
     done = 0
     while done < 20:
@@ -248,8 +250,9 @@ def test_shifted_dual_commutes_with_unitary():
         f = frame_from_graph(g)
         u = random_unitary(f.k, rng)
         for d in (f.canonical, dual_from_params(f, random_dual_params(f, rng))):
-            mapped = dual_from_params(apply_unitary(f, u), u @ d.shifts)
-            assert np.max(np.abs(mapped.vectors - u @ d.vectors)) <= 1e-9
+            fu, du = rotated(f, d, u)
+            mapped = np.linalg.solve(frame_operator(fu), fu.synthesis) + du.shifts[:, f.block]
+            assert np.max(np.abs(mapped - du.vectors)) <= 1e-9
         done += 1
 
 
@@ -263,28 +266,6 @@ def test_is_dual_detects_broken_dual(k3k2_frame, k3k2_canonical):
 def test_is_dual_dimension_mismatch(k3k2_frame):
     with pytest.raises(ValueError, match="mismatch"):
         is_dual(k3k2_frame, DualFrame(np.zeros((2, 5), dtype=complex), np.zeros((2, 2))))
-
-
-def test_apply_unitary_identity_and_flip(k3k2_frame, edge_frame):
-    same = apply_unitary(k3k2_frame, np.eye(3))
-    assert np.array_equal(same.synthesis, k3k2_frame.synthesis)
-    flipped = apply_unitary(edge_frame, np.array([[-1.0]]))
-    assert np.allclose(flipped.synthesis, [[-1.0, 1.0]], atol=1e-9)
-    assert np.allclose(gramian(flipped), gramian(edge_frame))
-
-
-def test_apply_unitary_preserves_gramian_and_bounds(k3k2_frame):
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        u = random_unitary(3, rng)
-        mapped = apply_unitary(k3k2_frame, u)
-        assert np.max(np.abs(gramian(mapped) - gramian(k3k2_frame))) <= 1e-8
-        assert np.allclose(frame_bounds(mapped), frame_bounds(k3k2_frame), atol=1e-8)
-
-
-def test_apply_unitary_rejects_non_unitary(k3k2_frame):
-    with pytest.raises(ValueError, match="not unitary"):
-        apply_unitary(k3k2_frame, np.diag([1.0, 1.0, 2.0]))
 
 
 def test_gramian_matches_laplacian_random_graphs():
@@ -315,10 +296,10 @@ def test_frame_operator_diagonal_with_laplacian_spectrum():
         done += 1
 
 
-def test_canonical_pairings_equal_one_minus_inverse_size():
-    # The canonical cross-Gramian is blockdiag(I - J/n_j) whichever eigenbasis
-    # the solver returns, so graphs with repeated Laplacian eigenvalues
-    # (complete, cycle, star, K3+K2) check it independently of the solver.
+def _closed_form_graphs() -> list[Graph]:
+    """K3+K2, complete graphs, cycles and stars (repeated Laplacian
+    eigenvalues), a 40-vertex graph with a singleton component last and
+    then first, and 30 small random graphs, many of them disconnected."""
     rng = np.random.default_rng(37)
     graphs = [parse_edge_list(K3K2_TEXT)]
     for n in (3, 12, 40):
@@ -327,7 +308,6 @@ def test_canonical_pairings_equal_one_minus_inverse_size():
         graphs.append(Graph(n, frozenset((i, i + 1) for i in range(1, n)) | {(1, n)}))
     for n in (5, 40):
         graphs.append(Graph(n, frozenset((1, v) for v in range(2, n + 1))))
-    # a singleton component last, then first
     sparse = random_graph(39, rng, p=0.3)
     graphs.append(Graph(40, sparse.edges))
     graphs.append(Graph(40, frozenset((u + 1, v + 1) for u, v in sparse.edges)))
@@ -335,7 +315,14 @@ def test_canonical_pairings_equal_one_minus_inverse_size():
         g = random_graph(int(rng.integers(2, 10)), rng)
         if g.edge_count > 0:
             graphs.append(g)
-    for g in graphs:
+    return graphs
+
+
+def test_canonical_pairings_equal_one_minus_inverse_size():
+    # The canonical cross-Gramian is blockdiag(I - J/n_j) whichever eigenbasis
+    # the solver returns, so graphs with repeated Laplacian eigenvalues
+    # (complete, cycle, star, K3+K2) check it independently of the solver.
+    for g in _closed_form_graphs():
         f = frame_from_graph(g)
         cross = f.synthesis.conj().T @ canonical_dual(f).vectors
         expected = np.zeros((f.n, f.n))
@@ -343,6 +330,57 @@ def test_canonical_pairings_equal_one_minus_inverse_size():
             lo, hi = f.layout.offsets[j], f.layout.offsets[j + 1]
             expected[lo:hi, lo:hi] = np.eye(size) - 1.0 / size
         assert np.max(np.abs(cross - expected)) <= 1e-9, g
+
+
+def test_closed_forms_match_the_general_frame_formulas():
+    # Phi / spectrum against S^-1 Phi, and the spectrum's extremes against
+    # those of eigvalsh(S), with S = Phi Phi^H formed and solved in full
+    for g in _closed_form_graphs():
+        f = frame_from_graph(g)
+        s = frame_operator(f)
+        general = np.linalg.solve(s, f.synthesis)
+        assert np.max(np.abs(f.canonical.vectors - general)) <= 1e-12 * np.max(np.abs(general)), g
+        values = np.linalg.eigvalsh(s)
+        assert np.allclose(frame_bounds(f), (values[0], values[-1]), rtol=1e-12, atol=0), g
+
+
+def test_canonical_refuses_a_frame_whose_operator_is_not_its_spectrum(k3k2_frame, k3k2_canonical):
+    # U Phi keeps the spectrum but its frame operator is U diag(3, 3, 2) U^H
+    fu, _ = rotated(k3k2_frame, k3k2_canonical, random_unitary(3, np.random.default_rng(43)))
+    with pytest.raises(ValueError, match="canonical dual residual .* above 1e-08"):
+        fu.canonical
+    # a zero in the spectrum gives an infinite row and a NaN residual
+    f = Frame(1, 2, k3k2_frame.synthesis[2:, 3:].copy(), contiguous_decomposition((2,)), np.zeros(1))
+    with pytest.raises(ValueError, match="canonical dual residual nan above 1e-08"):
+        f.canonical
+
+
+class _Products(np.ndarray):
+    """An array view that logs the operand shapes of every matmul it takes
+    part in; other ufuncs keep the view, so Phi^H and Phi / lambda log too."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _Products) else x for x in inputs]
+        if ufunc is np.matmul:
+            _Products.log.append((plain[0].shape, plain[1].shape))
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result.view(_Products) if isinstance(result, np.ndarray) else result
+
+
+def test_one_duality_product_per_frame(monkeypatch, k3k2_frame):
+    # canonical + certificate form Psi_canonical Phi^H once; frame_bounds and
+    # moderate shifted duals form no k x n x k product at all
+    monkeypatch.setattr(_Products, "log", [])
+    f = k3k2_frame
+    spied = Frame(f.k, f.n, f.synthesis.view(_Products), f.layout, f.spectrum)
+    assert frame_bounds(spied) == frame_bounds(f)
+    spied.canonical, spied.certificate
+    dual_from_params(spied, random_dual_params(f, np.random.default_rng(47), scale=1.0))
+    full = [shapes for shapes in _Products.log if shapes == ((f.k, f.n), (f.n, f.k))]
+    assert len(full) == 1
+    assert np.array_equal(spied.canonical.vectors, f.canonical.vectors)
 
 
 def test_json_round_trip_is_lossless(k3k2_frame, k3k2_canonical):

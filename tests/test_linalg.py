@@ -9,6 +9,7 @@ from lapframes import (
     small_complex_eigenvalues,
     symmetric_eig,
 )
+from lapframes.linalg import _fix_column_signs
 
 from conftest import assert_multiset_close
 from sampling import random_unitary
@@ -63,6 +64,32 @@ def test_symmetric_eig_sign_convention():
     for j in range(2):
         col = dec.vectors[:, j]
         assert col[np.argmax(np.abs(col))] > 0
+
+
+def _column_signs_loop(vectors: np.ndarray) -> np.ndarray:
+    """The per-column sign rule, one column at a time: the reference for the
+    vectorized ``_fix_column_signs``."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        lead = int(np.argmax(np.abs(out[:, j])))
+        if out[lead, j] < 0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+def test_column_signs_match_the_per_column_loop():
+    # bit for bit, -0.0 included: entries from a few magnitudes tie often, so
+    # the first largest entry must decide, as in the loop; zero columns too
+    rng = np.random.default_rng(53)
+    levels = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    stacks = [np.zeros((0, 0)), np.zeros((3, 0)), np.zeros((3, 2))]
+    for _ in range(300):
+        rows, cols = (int(x) for x in rng.integers(1, 9, size=2))
+        stacks.append(rng.choice(levels, size=(rows, cols)))
+        stacks.append(rng.normal(size=(rows, cols)))
+    for v in stacks:
+        got, want = _fix_column_signs(v), _column_signs_loop(v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_symmetric_eig_random_residuals():
