@@ -182,10 +182,23 @@ def frame_operator(f: Frame) -> np.ndarray:
 
 def frame_bounds(f: Frame) -> tuple[float, float]:
     """(lower, upper) frame bounds: the frame operator is diag(spectrum), so
-    they are the spectrum's extremes."""
+    they are the spectrum's extremes.
+
+    The operator's diagonal, each row's squared norm, must match its spectrum
+    entry to ``DUAL_TOL`` relative (an O(k n) check, the diagonal of the
+    certificate's E), so rows that break the fact are refused, not bounded.
+    """
     lower, upper = float(f.spectrum.min()), float(f.spectrum.max())
     if not lower > ZERO_TOL:
         raise ValueError(f"not a frame: lower bound {lower:.3e} <= {ZERO_TOL:g}")
+    squared = (f.synthesis.real ** 2 + f.synthesis.imag ** 2).sum(axis=1)
+    mismatch = np.abs(squared / f.spectrum - 1.0)
+    row = int(mismatch.argmax())
+    if not mismatch[row] <= DUAL_TOL:
+        raise ValueError(
+            f"not a frame: row {row + 1} has squared norm {squared[row]:.3e}, "
+            f"but its spectrum entry is {f.spectrum[row]:.3e}"
+        )
     return lower, upper
 
 
@@ -220,7 +233,7 @@ def dual_from_params(f: Frame, shifts: np.ndarray) -> DualFrame:
     shifts = np.asarray(shifts, dtype=complex)
     if shifts.shape != (f.k, f.layout.m):
         raise ValueError(f"shifts must be {f.k} x {f.layout.m}, got {shifts.shape}")
-    dual = DualFrame(f.canonical.vectors + shifts[:, f.block], shifts)
+    dual = DualFrame(f.canonical.vectors + shifts.take(f.block, axis=1), shifts)
     terms = f.certificate
     with np.errstate(all="ignore"):  # a NaN or inf bound defers to is_dual
         residual = np.abs(terms.error + shifts @ terms.block_sums).max()

@@ -117,17 +117,28 @@ def hermitian_eigenvalues(a) -> np.ndarray:
 
 def _eig_2x2(a: np.ndarray) -> np.ndarray:
     """Both roots of each 2x2 characteristic polynomial, cancellation-safe."""
-    tr = a[..., 0, 0] + a[..., 1, 1]
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    if a.ndim == 2:  # a stack of one: numpy's scalar complex product rounds differently
+        return _eig_2x2(a[None])[0]
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    tr = a00 + a11
     # (a-d)^2 + 4bc equals tr^2 - 4 det without the cancellation between
     # nearly equal diagonal entries
-    disc = np.sqrt((a[..., 0, 0] - a[..., 1, 1]) ** 2 + 4.0 * a[..., 0, 1] * a[..., 1, 0])
+    disc = np.sqrt((a00 - a11) ** 2 + 4.0 * a01 * a10)
     # pick the sqrt sign that avoids cancellation in tr + disc
-    disc = np.where((np.conj(tr) * disc).real < 0.0, -disc, disc)
-    lam1 = 0.5 * (tr + disc)
+    np.negative(disc, out=disc, where=(np.conj(tr) * disc).real < 0.0)
+    roots = np.empty(a.shape[:-1], dtype=complex)
+    roots[..., 0] = lam1 = 0.5 * (tr + disc)
+    lam2 = 0.5 * (tr - disc)
     nonzero = lam1 != 0
-    lam2 = np.where(nonzero, det / np.where(nonzero, lam1, 1.0), 0.5 * (tr - disc))
-    return np.stack([lam1, lam2], axis=-1)
+    np.divide(a00 * a11 - a01 * a10, lam1, out=lam2, where=nonzero)
+    roots[..., 1] = lam2
+    return roots
+
+
+def require_finite(a: np.ndarray) -> None:
+    """Refuse an array with a NaN or infinite entry."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
 
 
 def small_complex_eigenvalues(a) -> np.ndarray:
@@ -145,8 +156,7 @@ def small_complex_eigenvalues(a) -> np.ndarray:
     r = a.shape[-1]
     if r == 0:
         raise ValueError("matrix must have order at least 1")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    require_finite(a)
     if r == 1:
         return a[..., 0].copy()
     if r == 2:

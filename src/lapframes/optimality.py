@@ -154,6 +154,10 @@ def _check_seed(seed: int) -> None:
 def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH_BUDGET) -> SearchReport:
     """Minimize the worst-case radius over the whole shift-parameterized family.
 
+    The search cannot beat the proven optimum, max_j (n_j - 1)/n_j at r = 1
+    and 1 at r = 2, which the canonical dual attains; its role is to try to
+    falsify those laws, so an ``improved`` result would be a counterexample.
+
     Seeds: the canonical point plus per-axis sweeps of the coarse grid (a
     full Cartesian grid is hopeless at 2*m*k dimensions), then Nelder-Mead
     refinement from the best seeds and one seeded random restart. A budget

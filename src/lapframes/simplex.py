@@ -59,7 +59,7 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray, max_evals: in
             break
         if simplex[-1][1] - simplex[0][1] <= F_TOL:
             break
-        centroid = np.mean([x for x, _ in simplex[:-1]], axis=0)
+        centroid = np.add.reduce([x for x, _ in simplex[:-1]]) / dim
         worst_x, worst_f = simplex[-1]
 
         reflected = centroid + ALPHA * (centroid - worst_x)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from lapframes import cli, erasure, optimality, reproduce
 from lapframes.cli import main
 from lapframes.erasure import worst_radius
-from lapframes.frames import dual_from_params, frame_from_graph, pairs
+from lapframes.frames import DualFrame, dual_from_params, frame_from_graph, pairs
 from lapframes.graph import parse_edge_list
 from lapframes.linalg import ConvergenceError
 
@@ -282,6 +283,23 @@ def test_input_failures_exit_2(capsys, tmp_path, monkeypatch, graph, params, arg
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("r", ["1", "2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_rho_refuses_a_nonfinite_hand_built_dual(capsys, k3k2_file, psi1_params_file, monkeypatch, bad, r):
+    # dual_from_params refuses such shifts itself; a dual that skipped it
+    # still meets worst_radius's finiteness check, at r = 1 on C's diagonal
+    def load(path, frame):
+        vectors = frame.canonical.vectors.copy()
+        vectors[0, 0] = bad
+        return DualFrame(vectors, frame.canonical.shifts)
+
+    monkeypatch.setattr(cli, "_load_dual", load)
+    warns = pytest.warns(RuntimeWarning, match="matmul") if np.isinf(bad) else contextlib.nullcontext()
+    with warns:
+        code, out, err = run(capsys, "rho", k3k2_file, "-r", r, "--params", psi1_params_file)
+    assert (code, out, err) == (2, "", "error: matrix entries must be finite\n")
 
 
 @pytest.mark.parametrize("exc", [

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from lapframes import (
     erasure,
     error_operator,
     frame_from_graph,
+    parse_edge_list,
     reduced_error_matrix,
     small_complex_eigenvalues,
     worst_radius,
@@ -143,6 +145,35 @@ def test_worst_radius_equals_max_pairing_for_r1():
         direct = max(abs(np.sum(f.synthesis[:, i].conj() * dual.vectors[:, i])) for i in range(f.n))
         assert abs(worst_radius(f, dual, 1).radius - direct) <= 1e-12
         done += 1
+
+
+def test_worst_radius_r1_reads_the_diagonal_of_c(monkeypatch, k3k2_frame):
+    def gather(a):
+        raise AssertionError("order 1 gathered 1 x 1 submatrices")
+
+    monkeypatch.setattr(erasure, "small_complex_eigenvalues", gather)
+    f = k3k2_frame
+    dual = dual_from_params(f, random_dual_params(f, np.random.default_rng(73), scale=2.0))
+    result = worst_radius(f, dual, 1)
+    diagonal = np.diagonal(f.analysis @ dual.vectors)
+    assert result.spectra.shape == (f.n, 1)
+    assert np.array_equal(result.spectra[:, 0], diagonal)
+    assert result.radius == float(np.abs(diagonal).max())
+    assert result.witness.indices == (int(np.abs(diagonal).argmax()) + 1,)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)], ids=["nan", "inf", "inf-nan"])
+def test_worst_radius_refuses_a_nonfinite_hand_built_dual(k3k2_frame, bad, r):
+    # built directly, so no duality check has seen it; an infinite entry also
+    # makes numpy warn in the C product
+    f = k3k2_frame
+    vectors = f.canonical.vectors.copy()
+    vectors[0, 0] = bad
+    dual = DualFrame(vectors, f.canonical.shifts)
+    warns = pytest.warns(RuntimeWarning, match="matmul") if np.isinf(bad) else contextlib.nullcontext()
+    with warns, pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        worst_radius(f, dual, r)
 
 
 def test_worst_radius_rejects_bad_r(explicit, monkeypatch):
@@ -302,24 +333,37 @@ def _per_set_loop(f, dual, r):
     return out
 
 
+def _kernel_cases(r, rng):
+    """The canonical dual of K6, where every set's radius ties, then four
+    random shifted duals of random graphs."""
+    complete = frame_from_graph(parse_edge_list("n 6\n" + "".join(
+        f"{i} {j}\n" for i, j in combinations(range(1, 7), 2))))
+    yield complete, complete.canonical
+    done = 0
+    while done < 4:
+        g = random_graph(int(rng.integers(r + 2, 10)), rng)
+        if g.edge_count == 0:
+            continue
+        f = frame_from_graph(g)
+        yield f, dual_from_params(f, random_dual_params(f, rng, scale=2.0))
+        done += 1
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_batched_kernel_matches_per_set_loop(monkeypatch, chunk):
     if chunk is not None:
         monkeypatch.setattr(erasure, "CHUNK_SETS", chunk)  # sets straddle chunk boundaries
     rng = np.random.default_rng(67)
     for r in (1, 2, 3):
-        done = 0
-        while done < 4:
-            g = random_graph(int(rng.integers(r + 2, 10)), rng)
-            if g.edge_count == 0:
-                continue
-            f = frame_from_graph(g)
-            dual = dual_from_params(f, random_dual_params(f, rng, scale=2.0))
+        for case, (f, dual) in enumerate(_kernel_cases(r, rng)):
             loop = _per_set_loop(f, dual, r)
             best = max(radius for *_, radius in loop)
             result = worst_radius(f, dual, r)
             assert abs(result.radius - best) <= 1e-12 * best
             assert result.witness == next(lam for lam, *_, radius in loop if radius >= best - TIE_TOL)
+            if case == 0:  # every radius ties: the witness is the first set
+                assert np.ptp(result.radii) <= TIE_TOL
+                assert result.witness.indices == tuple(range(1, r + 1))
 
             reports = set_reports(result, f.k)
             assert [tuple(rep["lambda"]) for rep in reports] == [lam.indices for lam, *_ in loop]
@@ -329,7 +373,6 @@ def test_batched_kernel_matches_per_set_loop(monkeypatch, chunk):
                 assert np.max(np.abs(complex_of(rep["reduced"]) - reduced)) <= 1e-12 * scale
                 by_mag = list(eigs[np.argsort(-np.abs(eigs), kind="stable")]) + [0.0] * f.k
                 assert_multiset_close(complex_of(rep["eigenvalues"]), by_mag[: f.k], tol=1e-12 * scale)
-            done += 1
 
 
 def test_worst_radius_memory_stays_flat():

@@ -96,6 +96,17 @@ def test_frame_operator_orthonormal_basis():
     assert np.allclose(frame_bounds(basis), (1.0, 1.0), atol=1e-12)
 
 
+def test_frame_bounds_refuse_rows_that_break_the_spectrum():
+    # one column (1, 2, 2): its frame operator v v^H has eigenvalues 0, 0, 9,
+    # but a spectrum of ones claimed bounds (1, 1)
+    from lapframes import contiguous_decomposition
+    from lapframes.frames import Frame
+
+    f = Frame(3, 1, np.array([[1], [2], [2]], dtype=complex), contiguous_decomposition((1,)), np.ones(3))
+    with pytest.raises(ValueError, match="^not a frame: row 2 has squared norm 4.000e"):
+        frame_bounds(f)
+
+
 def test_frame_bounds(k3k2_frame, edge_frame):
     assert np.allclose(frame_bounds(k3k2_frame), (2.0, 3.0), atol=1e-9)
     assert np.allclose(frame_bounds(edge_frame), (2.0, 2.0), atol=1e-9)

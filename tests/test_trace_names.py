@@ -30,3 +30,12 @@ def test_worst_radius_takes_r_third():
     from lapframes.erasure import worst_radius
 
     assert list(inspect.signature(worst_radius).parameters)[2] == "r"
+
+
+def test_worst_radius_takes_the_frame_first():
+    # spans.WORK reads a[0].n, the frame's vertex count, from position 0
+    from lapframes.erasure import worst_radius
+    from lapframes.frames import Frame
+
+    first = next(iter(inspect.signature(worst_radius).parameters.values()))
+    assert first.name == "f" and first.annotation in (Frame, "Frame")
