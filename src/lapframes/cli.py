@@ -40,7 +40,6 @@ from .frames import (
 )
 from .graph import parse_edge_list
 from .optimality import SEARCH_BUDGET, search_optimal_dual, verify_order
-from .reproduce import run_reproduction
 
 
 def _load_frame(path: str) -> Frame:
@@ -266,6 +265,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from .reproduce import run_reproduction  # here, so no other command loads it
+
     report = run_reproduction(tol=args.tol)
     if args.json:
         _emit(report, args.output)

@@ -13,6 +13,13 @@ was checked where it was built (``Frame.canonical`` or ``dual_from_params``),
 so the radius kernel does not check it again; it still refuses non-finite
 spectra. ``error_operator`` and ``reduced_error_matrix`` build one
 set's matrices directly, as test oracles, and they still check duality.
+
+``shifted_radii`` is the pass for many shifted duals at once, as ``search``
+and ``uniqueness_probe`` evaluate them: every such dual's C is
+C_0 + W B^T, with C_0 = Phi^H Psi_canonical fixed per frame and W = Phi^H V
+linear in the shifts, so a batch costs one product for all its W and no
+dual or n x n array per point. ``worst_radius`` stays the general pass and
+the evaluator's test oracle.
 """
 
 from __future__ import annotations
@@ -21,16 +28,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb, isfinite
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .frames import DUAL_TOL, DualFrame, Frame, is_dual
+from .frames import DUAL_TOL, DualFrame, Frame, check_shift_vectors, is_dual
 from .linalg import require_finite, small_complex_eigenvalues
 
 TIE_TOL = 1e-10
 MAX_SETS = 10**6
 CHUNK_SETS = 4096  # principal submatrices per stacked eigenvalue call
+CHUNK_ENTRIES = 1 << 16  # complex entries of W and of the gathered C per batch chunk
 
 
 class EnumerationCapError(ValueError):
@@ -146,7 +154,8 @@ def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
     at a time. ``RhoResult.witness`` picks the worst set from the radii.
     """
     sets = _erasure_sets(f.n, r)
-    c = f.analysis @ d.vectors
+    with np.errstate(all="ignore"):  # a non-finite hand-built dual is refused below
+        c = f.analysis @ d.vectors
     if r == 1:
         spectra = c.diagonal()[:, None]
         radii = np.abs(spectra[:, 0])
@@ -163,3 +172,62 @@ def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
             spectra[start:start + len(idx)] = small_complex_eigenvalues(c[idx[:, :, None], idx[:, None, :]])
     radii = np.abs(spectra).max(axis=1)
     return RhoResult(float(radii.max()), c, sets, spectra, radii)
+
+
+def shifted_radii(f: Frame, r: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The evaluator of order-r worst radii, r in {1, 2}, of the duals
+    Psi_canonical + V B^T: it maps a B x 2mk batch of flat shift vectors
+    (``frames.vector_to_params`` layout) to their B radii.
+
+    C_0 = Phi^H Psi_canonical is formed here, once: its diagonal at r = 1,
+    and at r = 2 the 2 x 2 blocks C_0[s, s] of every set. Per batch, duality
+    is decided by ``frames.check_shift_vectors``, W = Phi^H V comes from one
+    real product of the flat vectors with [[Re Phi, -Im Phi], [Im Phi,
+    Re Phi]] (columns interleaved, so the result reads as complex), and
+    C[s, s] = C_0[s, s] + W[s, B(s)] is a gather; r = 1 takes its largest
+    magnitude, r = 2 the largest root of each block from one stacked
+    ``small_complex_eigenvalues`` (the closed-form 2 x 2 roots). A batch goes
+    in chunks of about CHUNK_ENTRIES entries. Each radius matches
+    ``worst_radius`` on the formed dual to rounding, and so do the refusals:
+    a non-dual row as in ``dual_from_params``, and non-finite entries as
+    "matrix entries must be finite".
+    """
+    if r not in (1, 2):
+        raise ValueError(f"shifted radii cover erasure orders 1 and 2, got {r}")
+    sets = _erasure_sets(f.n, r)
+    n, k, m = f.n, f.k, f.layout.m
+    canonical = f.canonical.vectors
+    if r == 1:
+        fixed = (f.analysis.T * canonical).sum(axis=0)
+        index = f.block * n + np.arange(n)  # W[i, B(i)] in W^T, flat m x n
+    else:
+        fixed = (f.analysis @ canonical)[sets[:, :, None], sets[:, None, :]]
+        index = f.block[sets][:, None, :] * n + sets[:, :, None]  # W[s_p, B(s_q)]
+    phi = f.synthesis
+    product = np.empty((2, k, n, 2))
+    product[0, :, :, 0] = product[1, :, :, 1] = phi.real
+    product[1, :, :, 0] = phi.imag
+    product[0, :, :, 1] = -phi.imag
+    product = product.reshape(2 * k, 2 * n)
+    rows = max(1, CHUNK_ENTRIES // (m * n + index.size))
+
+    def chunk_radii(x: np.ndarray) -> np.ndarray:
+        w = (x.reshape(-1, 2 * k) @ product).view(complex).reshape(len(x), m * n)
+        c = fixed + w.take(index, axis=1)
+        if r == 2:
+            return np.abs(small_complex_eigenvalues(c)).max(axis=(1, 2))
+        radii = np.abs(c).max(axis=1)
+        if not np.isfinite(radii).all():  # an infinite radius may still come from finite entries
+            require_finite(c)
+        return radii
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != 2 * m * k:
+            raise ValueError(f"expected a batch of {2 * m * k}-parameter rows, got shape {x.shape}")
+        check_shift_vectors(f, x)
+        if len(x) <= rows:
+            return chunk_radii(x)
+        return np.concatenate([chunk_radii(x[start:start + rows]) for start in range(0, len(x), rows)])
+
+    return evaluate

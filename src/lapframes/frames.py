@@ -22,6 +22,8 @@ once, where it is built, so code that receives a ``DualFrame`` need not
 check it again. ``dual_from_params`` first tries an O(k^2 m) certificate
 from the same structure, Psi Phi^H - I = E + V (Phi B)^H, and runs
 ``is_dual`` on the formed dual only when the certificate cannot vouch for it.
+``check_shift_vectors`` decides a whole batch of shifts, given as flat
+vectors, from a bound on that certificate without forming any dual.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .linalg import ZERO_TOL, symmetric_eig
 
 DUAL_TOL = 1e-8
 EPS = float(np.finfo(float).eps)
+SQRT2 = 2.0 ** 0.5
 
 
 @dataclass(frozen=True)
@@ -96,12 +99,15 @@ class Frame:
             canon = self.synthesis / self.spectrum[:, None]
             error = canon @ self.analysis - np.eye(self.k)
         canon.flags.writeable = False
+        block_sums = np.add.reduceat(self.synthesis, self.layout.offsets[:-1], axis=1).conj().T
         return DualityTerms(
             canon,
             error,
-            np.add.reduceat(self.synthesis, self.layout.offsets[:-1], axis=1).conj().T,
+            block_sums,
             float(np.abs(canon).max()),
             float(np.abs(self.synthesis).sum(axis=1).max()),
+            float(np.abs(error).max()),
+            float(np.abs(block_sums).sum(axis=0).max()),
         )
 
 
@@ -123,13 +129,16 @@ class DualityTerms(NamedTuple):
     """Per-frame terms of the duality certificate: Psi_canonical = Phi /
     spectrum (k x n, read-only), E = Psi_canonical Phi^H - I (k x k),
     P = (Phi B)^H (m x k, Phi B being each block's column sum),
-    max |Psi_canonical| and the largest row 1-norm of Phi."""
+    max |Psi_canonical|, the largest row 1-norm of Phi, max |E| and the
+    largest column 1-norm of P."""
 
     canonical: np.ndarray
     error: np.ndarray
     block_sums: np.ndarray
     canonical_max: float
     row_norm: float
+    error_max: float
+    block_sums_norm: float
 
 
 def frame_from_graph(g: Graph) -> Frame:
@@ -244,6 +253,41 @@ def dual_from_params(f: Frame, shifts: np.ndarray) -> DualFrame:
     if not check.ok:
         raise ValueError(f"duality residual {check.residual:.3e} above {DUAL_TOL:g}")
     return dual
+
+
+def vector_to_params(x: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The k x m shifts of a flat vector [Re nu_1, Im nu_1, Re nu_2, ...] of
+    length 2*m*k, nu_j being column j."""
+    x = np.asarray(x, dtype=float)
+    if x.size != 2 * m * k:
+        raise ValueError(f"expected {2 * m * k} parameters, got {x.size}")
+    parts = x.reshape(m, 2, k)
+    return (parts[:, 0] + 1j * parts[:, 1]).T
+
+
+def check_shift_vectors(f: Frame, x: np.ndarray) -> None:
+    """Decide duality for every row of a B x 2mk batch of flat shift vectors
+    (the ``vector_to_params`` layout) without forming a dual, or refuse the
+    first row, in row order, that ``dual_from_params`` refuses.
+
+    Each |V_aj| is at most sqrt(2) max |x|, so per row
+    max |E| + sqrt(2) max |x| p, with p the largest column 1-norm of P, bounds
+    ``dual_from_params``'s residual, and the same substitution bounds its
+    rounding term. Both are affine in max |x|, so a row is accepted when
+    max |x| is below the value at which their sum reaches DUAL_TOL / 2 (the
+    halving absorbs the rounding of both bounds, so ``dual_from_params``
+    would accept the row too). Every other row, a NaN or infinite one
+    included, goes through ``dual_from_params`` itself, which keeps its
+    verdict and its message.
+    """
+    f.canonical  # decides on E before the bound reads it
+    t = f.certificate
+    rounding = f.n * EPS * t.row_norm
+    limit = (DUAL_TOL / 2 - t.error_max - rounding * t.canonical_max) / (SQRT2 * (t.block_sums_norm + rounding))
+    accepted = np.abs(x).max(axis=1) < limit
+    if not accepted.all():
+        for row in np.flatnonzero(~accepted):
+            dual_from_params(f, vector_to_params(x[row], f.layout.m, f.k))
 
 
 def is_dual(f: Frame, d: DualFrame) -> DualityCheck:

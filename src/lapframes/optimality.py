@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .erasure import worst_radius
-from .frames import DualFrame, Frame, dual_from_params
+from .erasure import shifted_radii, worst_radius
+from .frames import DualFrame, Frame, dual_from_params, vector_to_params
 from .simplex import nelder_mead
 
 RADIUS_TOL = 1e-9
@@ -136,16 +136,6 @@ def singleton_shift_dual(f: Frame) -> DualFrame:
     return dual_from_params(f, shifts)
 
 
-def vector_to_params(x: np.ndarray, m: int, k: int) -> np.ndarray:
-    """The k x m shifts of a flat vector [Re nu_1, Im nu_1, Re nu_2, ...] of
-    length 2*m*k, nu_j being column j."""
-    x = np.asarray(x, dtype=float)
-    if x.size != 2 * m * k:
-        raise ValueError(f"expected {2 * m * k} parameters, got {x.size}")
-    parts = x.reshape(m, 2, k)
-    return (parts[:, 0] + 1j * parts[:, 1]).T
-
-
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
@@ -160,10 +150,12 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
 
     Seeds: the canonical point plus per-axis sweeps of the coarse grid (a
     full Cartesian grid is hopeless at 2*m*k dimensions), then Nelder-Mead
-    refinement from the best seeds and one seeded random restart. A budget
-    of 0 returns the canonical baseline after its single evaluation; a
-    nonzero budget too small for one grid pass raises. The budget and the
-    seed are checked before any evaluation.
+    refinement from the best seeds and one seeded random restart. Points
+    are evaluated in batches by ``erasure.shifted_radii``, with no dual
+    formed per point: the canonical point alone, the grid pass as one batch,
+    and Nelder-Mead's batches. A budget of 0 returns the canonical baseline
+    after its single evaluation; a nonzero budget too small for one grid
+    pass raises. The budget and the seed are checked before any evaluation.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -177,16 +169,18 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
     evaluations = 0
     samples: list[tuple[np.ndarray, float]] = []
 
-    def objective(x: np.ndarray) -> float:
+    evaluate = shifted_radii(f, r)
+
+    def objective(xs: np.ndarray) -> np.ndarray:
         nonlocal evaluations
-        evaluations += 1
-        dual = dual_from_params(f, vector_to_params(x, m, k))
-        value = worst_radius(f, dual, r).radius
-        samples.append((np.asarray(x, dtype=float).copy(), value))
-        return value
+        xs = np.array(xs, dtype=float)
+        values = evaluate(xs)
+        evaluations += len(xs)
+        samples.extend(zip(xs, values.tolist()))
+        return values
 
     origin = np.zeros(dim)
-    canonical_rho = objective(origin)
+    canonical_rho = float(objective(origin[None])[0])
     best_x, best_rho = origin, canonical_rho
 
     def finalize() -> SearchReport:
@@ -215,15 +209,13 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
         raise SearchBudgetError(
             f"budget {budget} cannot cover one grid pass of {grid_pass} evaluations"
         )
-    seeds: list[tuple[np.ndarray, float]] = [(origin, canonical_rho)]
-    for axis in range(dim):
-        for value in axis_values:
-            x = np.zeros(dim)
-            x[axis] = value
-            rho = objective(x)
-            seeds.append((x, rho))
-            if rho < best_rho:
-                best_x, best_rho = x, rho
+    grid = np.zeros((dim * len(axis_values), dim))  # each axis at each value, in turn
+    grid[np.arange(len(grid)), np.repeat(np.arange(dim), len(axis_values))] = np.tile(axis_values, dim)
+    values = objective(grid).tolist()
+    seeds = [(origin, canonical_rho), *zip(grid, values)]
+    first = int(np.argmin(values))
+    if values[first] < best_rho:
+        best_x, best_rho = grid[first], values[first]
 
     seeds.sort(key=lambda entry: entry[1])
     starts = [origin] + [x for x, _ in seeds[:3]]
@@ -245,24 +237,21 @@ def uniqueness_probe(f: Frame, seed: int) -> ProbeReport:
 
     Only meaningful for single-component graphs, where the canonical dual is
     the unique optimum; shift norms are log-uniform over ``PROBE_NORM_RANGE``.
+    The trials are drawn one after another from one seeded stream, then
+    evaluated as one batch by ``erasure.shifted_radii``.
     """
     if f.layout.m != 1:
         raise ValueError("strictness probe requires a single-component graph")
     rng = np.random.default_rng(seed)
     baseline = predicted_worst_radius(f, 1)
     lo, hi = PROBE_NORM_RANGE
-    min_excess = np.inf
-    violations = 0
-    for _ in range(PROBE_TRIALS):
+    shifts = np.empty((PROBE_TRIALS, f.k), dtype=complex)
+    for trial in shifts:
         direction = rng.normal(size=f.k) + 1j * rng.normal(size=f.k)
         direction /= np.linalg.norm(direction)
-        norm = np.exp(rng.uniform(np.log(lo), np.log(hi)))
-        dual = dual_from_params(f, (norm * direction)[:, None])
-        excess = worst_radius(f, dual, 1).radius - baseline
-        min_excess = min(min_excess, excess)
-        if excess <= -PROBE_SLACK:
-            violations += 1
-    return ProbeReport(float(min_excess), violations)
+        trial[:] = np.exp(rng.uniform(np.log(lo), np.log(hi))) * direction
+    excess = shifted_radii(f, 1)(np.hstack([shifts.real, shifts.imag])) - baseline
+    return ProbeReport(float(excess.min()), int((excess <= -PROBE_SLACK).sum()))
 
 
 def _detail(claim: str, predicted: float, measured: float, tol: float) -> dict:

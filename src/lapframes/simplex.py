@@ -2,11 +2,14 @@
 
 Standard reflection/expansion/contraction/shrink moves with an evaluation
 budget, suited to continuous but non-smooth objectives such as a max of
-eigenvalue magnitudes.
+eigenvalue magnitudes. The objective takes a batch of points, so the moves
+whose points are known together (the initial simplex, a shrink) cost one
+call.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,76 +27,82 @@ class SimplexResult(NamedTuple):
     evaluations: int
 
 
-def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray, max_evals: int) -> SimplexResult:
+def nelder_mead(fn: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, max_evals: int) -> SimplexResult:
     """Minimize ``fn`` from ``x0``; the initial simplex offsets each axis by ``STEP``.
 
-    Stops on ``MAX_ITER`` iterations, a function spread below ``F_TOL``, or
-    when ``max_evals`` objective evaluations have been spent.
+    ``fn`` maps a (B, dim) batch of points to their B values. The initial
+    simplex and each shrink step are one batch, cut to the evaluations left
+    in ``max_evals``; reflection, expansion and contraction are batches of
+    one. Stops on ``MAX_ITER`` iterations, a function spread below
+    ``F_TOL``, or when ``max_evals`` objective evaluations have been spent.
     """
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size
     evals = 0
 
-    def call(x: np.ndarray) -> float | None:
+    def call(points: np.ndarray) -> list[float]:
+        """The values of the leading points that the budget still covers."""
         nonlocal evals
-        if evals >= max_evals:
-            return None
-        evals += 1
-        return fn(x)
+        points = points[:max_evals - evals]
+        evals += len(points)
+        return fn(points).tolist() if len(points) else []
 
-    first = call(x0)
-    if first is None:
+    def call_one(x: np.ndarray) -> float | None:
+        got = call(x[None])
+        return got[0] if got else None
+
+    def ordered(points: np.ndarray, values: list[float]) -> tuple[np.ndarray, list[float]]:
+        order = sorted(range(len(values)), key=values.__getitem__)  # stable
+        return points[order], [values[i] for i in order]
+
+    def replace_worst(x: np.ndarray, fx: float) -> None:
+        """Put (x, fx) in place of the worst vertex, where a stable sort by
+        value would put it: after every better or equal vertex."""
+        i = bisect_right(values, fx, 0, dim)
+        simplex[i + 1:] = simplex[i:dim]
+        simplex[i] = x
+        values.insert(i, fx)
+        values.pop()
+
+    # the vertices as rows sorted by their values, best first
+    start = np.tile(x0, (dim + 1, 1))
+    start[np.arange(1, dim + 1), np.arange(dim)] += STEP
+    values = call(start)
+    if not values:
         return SimplexResult(x0, np.inf, evals)
-    simplex = [(x0, first)]
-    for i in range(dim):
-        x = x0.copy()
-        x[i] += STEP
-        fx = call(x)
-        if fx is None:
-            break
-        simplex.append((x, fx))
-    simplex.sort(key=lambda entry: entry[1])
+    simplex, values = ordered(start[:len(values)], values)
 
     for _ in range(MAX_ITER):
-        if len(simplex) < dim + 1 or evals >= max_evals:
+        if len(values) < dim + 1 or evals >= max_evals:
             break
-        if simplex[-1][1] - simplex[0][1] <= F_TOL:
+        if values[-1] - values[0] <= F_TOL:
             break
-        centroid = np.add.reduce([x for x, _ in simplex[:-1]]) / dim
-        worst_x, worst_f = simplex[-1]
+        centroid = np.add.reduce(simplex[:-1]) / dim
+        away = centroid - simplex[-1]
 
-        reflected = centroid + ALPHA * (centroid - worst_x)
-        fr = call(reflected)
+        reflected = centroid + ALPHA * away
+        fr = call_one(reflected)
         if fr is None:
             break
-        if simplex[0][1] <= fr < simplex[-2][1]:
-            simplex[-1] = (reflected, fr)
-        elif fr < simplex[0][1]:
-            expanded = centroid + GAMMA * (centroid - worst_x)
-            fe = call(expanded)
+        if values[0] <= fr < values[-2]:
+            replace_worst(reflected, fr)
+        elif fr < values[0]:
+            expanded = centroid + GAMMA * away
+            fe = call_one(expanded)
             if fe is None:
-                simplex[-1] = (reflected, fr)
-                simplex.sort(key=lambda entry: entry[1])
+                replace_worst(reflected, fr)
                 break
-            simplex[-1] = (expanded, fe) if fe < fr else (reflected, fr)
+            replace_worst(*((expanded, fe) if fe < fr else (reflected, fr)))
         else:
-            contracted = centroid + BETA * (centroid - worst_x)
-            fc = call(contracted)
+            contracted = centroid + BETA * away
+            fc = call_one(contracted)
             if fc is None:
                 break
-            if fc < worst_f:
-                simplex[-1] = (contracted, fc)
+            if fc < values[-1]:
+                replace_worst(contracted, fc)
             else:
-                best_x = simplex[0][0]
-                shrunk = [simplex[0]]
-                for x, _ in simplex[1:]:
-                    xs = best_x + DELTA * (x - best_x)
-                    fs = call(xs)
-                    if fs is None:
-                        break
-                    shrunk.append((xs, fs))
-                simplex = shrunk
-        simplex.sort(key=lambda entry: entry[1])
+                shrunk = simplex[0] + DELTA * (simplex[1:] - simplex[0])
+                got = call(shrunk)
+                simplex, values = ordered(np.vstack([simplex[:1], shrunk[:len(got)]]), values[:1] + got)
 
-    best_x, best_f = min(simplex, key=lambda entry: entry[1])
-    return SimplexResult(best_x, best_f, evals)
+    return SimplexResult(simplex[0].copy(), values[0], evals)

@@ -7,12 +7,12 @@ import numpy as np
 
 from lapframes.frames import DualFrame, Frame
 from lapframes.graph import Graph, components
-from lapframes.optimality import vector_to_params
+from lapframes.frames import vector_to_params
 
 
 def params_to_vector(shifts: np.ndarray) -> np.ndarray:
     """Flatten k x m shifts to [Re nu_1, Im nu_1, Re nu_2, ...] of length
-    2*m*k, the inverse of ``lapframes.optimality.vector_to_params``."""
+    2*m*k, the inverse of ``lapframes.frames.vector_to_params``."""
     return np.stack([shifts.real.T, shifts.imag.T], axis=1).reshape(-1)
 
 

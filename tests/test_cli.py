@@ -1,9 +1,9 @@
-import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -296,8 +296,8 @@ def test_rho_refuses_a_nonfinite_hand_built_dual(capsys, k3k2_file, psi1_params_
         return DualFrame(vectors, frame.canonical.shifts)
 
     monkeypatch.setattr(cli, "_load_dual", load)
-    warns = pytest.warns(RuntimeWarning, match="matmul") if np.isinf(bad) else contextlib.nullcontext()
-    with warns:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and numpy prints no warning above the error line
         code, out, err = run(capsys, "rho", k3k2_file, "-r", r, "--params", psi1_params_file)
     assert (code, out, err) == (2, "", "error: matrix entries must be finite\n")
 
@@ -370,6 +370,20 @@ def test_python_m_passes_exit_codes(tmp_path):
     done = _python_m("build", "missing.el", cwd=tmp_path)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: cannot read missing.el")
+
+
+def test_python_m_build_leaves_reproduce_unloaded(tmp_path):
+    # only the reproduce command imports its module (-X importtime lists
+    # every module the query loads on stderr)
+    (tmp_path / "k3k2.el").write_text(K3K2_TEXT)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "lapframes", "build", "k3k2.el"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and json.loads(done.stdout)["command"] == "build"
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert {"lapframes.cli", "lapframes.optimality"} <= loaded
+    assert "lapframes.reproduce" not in loaded
 
 
 @pytest.mark.parametrize("command", [["dual", "edge.el"], ["rho", "edge.el", "-r", "1"]])

@@ -1,5 +1,5 @@
-import contextlib
 import tracemalloc
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +19,7 @@ from lapframes import (
 )
 from lapframes.cli import set_reports
 from lapframes.erasure import TIE_TOL, EnumerationCapError
-from lapframes.frames import DualFrame
+from lapframes.frames import DualFrame, vector_to_params
 from lapframes.reproduce import (
     CANONICAL_OPERATORS,
     EXPECTED_RADII,
@@ -28,8 +28,9 @@ from lapframes.reproduce import (
     explicit_frame,
 )
 
-from conftest import assert_multiset_close, complex_of
+from conftest import EDGE_TEXT, K3K2_TEXT, assert_multiset_close, complex_of
 from sampling import (
+    params_to_vector,
     random_connected_graph,
     random_disconnected_graph,
     random_dual_params,
@@ -165,14 +166,14 @@ def test_worst_radius_r1_reads_the_diagonal_of_c(monkeypatch, k3k2_frame):
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)], ids=["nan", "inf", "inf-nan"])
 def test_worst_radius_refuses_a_nonfinite_hand_built_dual(k3k2_frame, bad, r):
-    # built directly, so no duality check has seen it; an infinite entry also
-    # makes numpy warn in the C product
+    # built directly, so no duality check has seen it; the refusal comes
+    # without numpy's warning from an infinite entry in the C product
     f = k3k2_frame
     vectors = f.canonical.vectors.copy()
     vectors[0, 0] = bad
     dual = DualFrame(vectors, f.canonical.shifts)
-    warns = pytest.warns(RuntimeWarning, match="matmul") if np.isinf(bad) else contextlib.nullcontext()
-    with warns, pytest.raises(ValueError, match="^matrix entries must be finite$"):
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        warnings.simplefilter("error")
         worst_radius(f, dual, r)
 
 
@@ -387,3 +388,78 @@ def test_worst_radius_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def _radii_oracle(f, x, r):
+    """The radius of each row's formed dual, one general pass per row."""
+    m, k = f.layout.m, f.k
+    return np.array([worst_radius(f, dual_from_params(f, vector_to_params(row, m, k)), r).radius for row in x])
+
+
+def _message(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("chunk", [None, 40])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("graph", ["connected", "k3k2", "singleton"])
+def test_shifted_radii_match_worst_radius(monkeypatch, graph, r, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(erasure, "CHUNK_ENTRIES", chunk)  # one or two rows per chunk
+    rng = np.random.default_rng(83)
+    text = {"connected": None, "k3k2": K3K2_TEXT, "singleton": "n 6\n1 2\n1 3\n2 3\n4 5\n"}[graph]
+    f = frame_from_graph(random_connected_graph(rng, (8, 9)) if text is None else parse_edge_list(text))
+    dim = 2 * f.layout.m * f.k
+    x = rng.uniform(-1, 1, (30, dim)) * 10.0 ** rng.uniform(-3, 2, (30, 1))
+    x[0] = 0.0  # the canonical dual
+    evaluate = erasure.shifted_radii(f, r)
+    want = _radii_oracle(f, x, r)
+    got = evaluate(x)
+    assert got.shape == (30,)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    single = np.array([evaluate(row[None])[0] for row in x[:5]])
+    assert np.all(np.abs(single - want[:5]) <= 1e-12 * want[:5])
+
+
+@pytest.mark.parametrize("text, shifts, message", [
+    (K3K2_TEXT, [[np.nan, 0], [0, 0], [0, 0]], "duality residual nan above 1e-08"),
+    (K3K2_TEXT, [[1e12, 0], [0, 0], [0, 0]], "duality residual 2.550e-04 above 1e-08"),
+    (EDGE_TEXT, [[1e9]], None),
+    (EDGE_TEXT, [[1e20]], "duality residual 1.000e+00 above 1e-08"),
+], ids=["k3k2-nan", "k3k2-1e12", "k2-1e9", "k2-1e20"])
+def test_shifted_radii_refuse_each_row_as_dual_from_params(text, shifts, message):
+    f = frame_from_graph(parse_edge_list(text))
+    shifts = np.array(shifts, dtype=complex)
+    assert _message(lambda: dual_from_params(f, shifts)) == message
+    rng = np.random.default_rng(89)
+    good = params_to_vector(random_dual_params(f, rng, scale=1.0))
+    x = np.stack([good, params_to_vector(shifts), good])  # the row under test in the middle
+    evaluate = erasure.shifted_radii(f, 1)
+    assert _message(lambda: evaluate(x[1:2])) == message
+    assert _message(lambda: evaluate(x)) == message
+    if message is None:
+        assert np.all(np.abs(evaluate(x) - _radii_oracle(f, x, 1)) <= 1e-12 * _radii_oracle(f, x, 1))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_shifted_radii_refuse_nonfinite_entries(monkeypatch, k3k2_frame, r):
+    # the duality check refuses every non-finite row first; without it, the
+    # radius pass still refuses, as worst_radius does
+    monkeypatch.setattr(erasure, "check_shift_vectors", lambda f, x: None)
+    x = np.zeros((3, 2 * k3k2_frame.layout.m * k3k2_frame.k))
+    x[1, 0] = np.nan
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        erasure.shifted_radii(k3k2_frame, r)(x)
+
+
+def test_shifted_radii_validate_order_and_shape(k3k2_frame, edge_frame):
+    with pytest.raises(ValueError, match="orders 1 and 2, got 3"):
+        erasure.shifted_radii(k3k2_frame, 3)
+    with pytest.raises(ValueError, match="outside"):
+        erasure.shifted_radii(edge_frame, 2)
+    with pytest.raises(ValueError, match="12-parameter rows"):
+        erasure.shifted_radii(k3k2_frame, 1)(np.zeros((2, 11)))

@@ -16,7 +16,7 @@ from lapframes import (
     worst_radius,
 )
 from lapframes import erasure, frames, optimality
-from lapframes.optimality import vector_to_params
+from lapframes.frames import vector_to_params
 from lapframes.graph import Graph
 
 from sampling import (
@@ -169,31 +169,55 @@ def test_search_computes_canonical_dual_once(monkeypatch, k3k2_frame):
 
 
 def test_search_checks_each_dual_once(monkeypatch, k3k2_frame):
-    # one duality decision per dual: E for the canonical dual, and for each
-    # shifted dual either the certificate or, failing it, one is_dual
-    checks, per_dual = [], []
-    check, build = frames.is_dual, frames.dual_from_params
-
-    def counted_check(f, d, *args):
-        checks.append(d)
-        return check(f, d, *args)
-
-    def counted_build(f, shifts):
-        before = len(checks)
-        dual = build(f, shifts)
-        per_dual.append(len(checks) - before)
-        return dual
-
-    monkeypatch.setattr(frames, "is_dual", counted_check)
-    monkeypatch.setattr(erasure, "is_dual", counted_check)
-    monkeypatch.setattr(optimality, "dual_from_params", counted_build)
+    # one duality decision per evaluated point: the batch certificate sees
+    # every point once, and shifts of the search's scale never need
+    # dual_from_params or is_dual
+    rows, built, checks = [], [], []
+    decide, build, check = frames.check_shift_vectors, frames.dual_from_params, frames.is_dual
+    monkeypatch.setattr(erasure, "check_shift_vectors", lambda f, x: rows.append(len(x)) or decide(f, x))
+    monkeypatch.setattr(frames, "dual_from_params", lambda f, v: built.append(v) or build(f, v))
+    monkeypatch.setattr(frames, "is_dual", lambda f, d: checks.append(d) or check(f, d))
+    monkeypatch.setattr(erasure, "is_dual", lambda f, d: checks.append(d) or check(f, d))
     assert k3k2_frame.canonical is not None and len(checks) == 0
     report = search_optimal_dual(k3k2_frame, 1)
-    assert len(per_dual) == report.evaluations > 1
-    assert max(per_dual) <= 1
-    assert len(checks) == sum(per_dual)
-    # shifts of the search's scale are all decided by the certificate
-    assert sum(per_dual) == 0
+    assert sum(rows) == report.evaluations > 1
+    assert len(rows) < report.evaluations / 2  # most points come in batches
+    assert built == [] and checks == []
+
+
+@pytest.mark.parametrize("frame, r", [("k3k2_frame", 1), ("k3_frame", 2)])
+def test_search_evaluations_stay_within_the_budget(request, frame, r):
+    f = request.getfixturevalue(frame)
+    dim = 2 * f.layout.m * f.k
+    grid_pass = 1 + 4 * dim
+    for budget in (grid_pass, grid_pass + 1, grid_pass + dim, grid_pass + dim + 3):
+        report = search_optimal_dual(f, r, budget=budget)
+        assert grid_pass <= report.evaluations <= budget
+
+
+def _probe_per_trial(f, seed):
+    """``uniqueness_probe`` one trial at a time through the general pass:
+    the same draws, each shift made a dual and its radius taken alone."""
+    rng = np.random.default_rng(seed)
+    baseline = predicted_worst_radius(f, 1)
+    lo, hi = optimality.PROBE_NORM_RANGE
+    excesses = []
+    for _ in range(optimality.PROBE_TRIALS):
+        direction = rng.normal(size=f.k) + 1j * rng.normal(size=f.k)
+        direction /= np.linalg.norm(direction)
+        norm = np.exp(rng.uniform(np.log(lo), np.log(hi)))
+        dual = dual_from_params(f, (norm * direction)[:, None])
+        excesses.append(worst_radius(f, dual, 1).radius - baseline)
+    return min(excesses), sum(e <= -optimality.PROBE_SLACK for e in excesses)
+
+
+def test_uniqueness_probe_matches_a_per_trial_loop():
+    f = frame_from_graph(random_connected_graph(np.random.default_rng(97), (9, 9)))
+    for seed in range(5):
+        report = uniqueness_probe(f, seed)
+        min_excess, violations = _probe_per_trial(f, seed)
+        assert report.violations == violations
+        assert abs(report.min_excess - min_excess) <= 1e-12 * abs(min_excess)
 
 
 def test_connected_law_sample():
