@@ -2,12 +2,13 @@
 
 Subcommands: build, dual, rho, verify, search, reproduce. All reports are
 JSON on standard output (or --output <path>) with a top-level schema field;
-every complex array in them is written by ``frames.pairs`` as [re, im]
-pairs, and ``rho -v``'s per-set reports are formatted here from the arrays
-of the radius pass. One writer, ``dumps``, produces the bytes of
-``json.dumps(payload, indent=2)``: each list of numbers at one depth goes
-through json's C encoder and is re-indented, since with an indent json
-itself would run its pure-Python encoder.
+their numbers reach the writer as ndarrays (complex ones as [re, im] pairs
+from ``frames.pairs``), and ``rho -v``'s per-set reports are formatted here
+from the arrays of the radius pass. One writer, ``dumps``, produces the
+bytes of ``json.dumps(payload, indent=2)``, where an array stands for its
+``tolist()``: each array is one flat encode by json's C encoder joined with
+the separators of the indent layout, since with an indent json itself would
+run its pure-Python encoder.
 
 Exit codes: 0 success or all checks passed, 1 a verification check failed,
 2 usage or input error, 3 internal or resource failure. Every refusal in
@@ -114,44 +115,42 @@ def _write(text: str, output: str | None) -> None:
         raise ValueError(f"cannot write {output}: {exc}") from exc
 
 
-def _number_depth(items: list | tuple) -> int:
-    """The depth of every leaf of a non-empty nested list whose leaves are
-    all numbers (or booleans) at one depth with no list empty, else 0."""
-    try:
-        a = np.asarray(items)
-    except ValueError:  # ragged
-        return 0
-    return a.ndim if a.size and a.dtype.kind in "biuf" else 0
-
-
-def _reindent(text: str, depth: int, level: int) -> str:
-    """Re-indent the compact ``json.dumps`` text of a list found by
-    ``_number_depth`` as the indent encoder lays it out at ``level``. Number
-    text holds no bracket, comma or space, so each boundary between leaves
-    is ``"]" * j + ", " + "[" * j``; the deepest boundaries go first."""
-    pad = ["\n" + "  " * (level + d) for d in range(depth + 1)]
-    for j in range(depth - 1, -1, -1):
-        closers = "".join(pad[d] + "]" for d in range(depth - 1, depth - 1 - j, -1))
-        openers = "".join(pad[d] + "[" for d in range(depth - j, depth))
-        text = text.replace("]" * j + ", " + "[" * j, closers + "," + openers + pad[depth])
-    head = "[" + "".join(pad[d] + "[" for d in range(1, depth)) + pad[depth]
-    tail = "".join(pad[d] + "]" for d in range(depth - 1, -1, -1))
-    return head + text[depth:-depth] + tail
+def _array_text(a: np.ndarray, level: int) -> str:
+    """``json.dumps(a.tolist(), indent=2)`` at ``level`` for a numeric array
+    of ndim >= 1 with no zero-size axis: one flat encode split into leaf
+    tokens (number text holds no ", ") joined with the layout's separators;
+    the one after a leaf that ends c axes closes and reopens c brackets."""
+    d = a.ndim
+    pad = ["\n" + "  " * (level + j) for j in range(d + 1)]
+    closers = [pad[j] + "]" for j in range(d - 1, -1, -1)]  # deepest first
+    openers = [pad[j] + "[" for j in range(d)]
+    seps = ["".join(closers[:c]) + "," + "".join(openers[d - c:]) + pad[d] for c in range(d)]
+    seps.append("".join(closers))
+    after = [seps[0]]
+    for c, size in enumerate(reversed(a.shape), 1):
+        after *= size
+        after[-1] = seps[c]
+    parts = [""] * (2 * a.size)
+    parts[::2] = json.dumps(a.ravel().tolist())[1:-1].split(", ")
+    parts[1::2] = after
+    return "[" + "".join(openers[1:]) + pad[d] + "".join(parts)
 
 
 def dumps(o, level: int = 0) -> str:
     """``json.dumps(o, indent=2)`` byte for byte, for dicts with str keys,
-    lists, tuples and JSON scalars. Every list of numbers at one depth goes
-    through json's C encoder and ``_reindent``; everything else is walked the
-    way the indent encoder walks it, with each scalar and key written by
+    lists, tuples and JSON scalars, where an ndarray stands for its
+    ``tolist()``. A numeric array with no zero-size axis is written by
+    ``_array_text`` with one flat encode; everything else is walked the way
+    the indent encoder walks it, with each scalar and key written by
     ``json.dumps`` itself (so NaN, Infinity, -0.0 and escapes are json's)."""
+    if isinstance(o, np.ndarray):
+        if o.size and o.ndim and o.dtype.kind in "biuf":
+            return _array_text(o, level)
+        o = o.tolist()
     if isinstance(o, dict):
         items = [json.dumps(key) + ": " + dumps(value, level + 1) for key, value in o.items()]
         brackets = "{}"
     elif isinstance(o, (list, tuple)):
-        depth = _number_depth(o)
-        if depth:
-            return _reindent(json.dumps(o), depth, level)
         items = [dumps(value, level + 1) for value in o]
         brackets = "[]"
     else:
@@ -172,7 +171,7 @@ def _frame_summary(frame: Frame) -> dict:
         "n": frame.n,
         "k": frame.k,
         "components": list(frame.layout.sizes),
-        "spectrum": [float(x) for x in frame.spectrum],
+        "spectrum": frame.spectrum,
         "frame_bounds": [lower, upper],
     }
 

@@ -301,10 +301,10 @@ def is_dual(f: Frame, d: DualFrame) -> DualityCheck:
     return DualityCheck(residual <= DUAL_TOL, residual)
 
 
-def pairs(a: np.ndarray) -> list:
-    """The JSON form of a complex array: its nested lists with every entry
-    an [re, im] pair of Python floats."""
-    return np.stack((a.real, a.imag), -1).tolist()
+def pairs(a: np.ndarray) -> np.ndarray:
+    """The JSON form of a complex array for ``cli.dumps``: a float array with
+    one more axis, each entry an [re, im] pair (``tolist()`` for json)."""
+    return np.stack((a.real, a.imag), -1)
 
 
 def _doc(f: Frame, matrix: np.ndarray) -> dict:
@@ -313,12 +313,12 @@ def _doc(f: Frame, matrix: np.ndarray) -> dict:
         "n": f.n,
         "components": list(f.layout.sizes),
         "synthesis": pairs(matrix.reshape(-1)),
-        "spectrum": [float(x) for x in f.spectrum],
+        "spectrum": f.spectrum,
     }
 
 
 def frame_to_doc(f: Frame) -> dict:
-    """JSON-ready document; synthesis is row-major [re, im] pairs."""
+    """The document for ``cli.dumps``; synthesis is row-major [re, im] pairs."""
     return _doc(f, f.synthesis)
 
 

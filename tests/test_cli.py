@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lapframes import cli, erasure, optimality, reproduce
 from lapframes.cli import main
@@ -347,7 +348,7 @@ def test_rho_verbose_matches_per_set_formatting(capsys, tmp_path, monkeypatch):
         dual, argv = f.canonical, []
         if i % 3:
             shifts = random_dual_params(f, rng, scale=2.0)
-            (tmp_path / "p.json").write_text(json.dumps(pairs(shifts.T)))
+            (tmp_path / "p.json").write_text(json.dumps(pairs(shifts.T).tolist()))
             dual, argv = dual_from_params(f, shifts), ["--params", "p.json"]
         for r in range(1, min(4, f.n - 1) + 1):
             code, out, _ = run(capsys, "rho", "g.el", "-r", str(r), *argv, "-v")
@@ -521,8 +522,8 @@ _SCALARS = st.one_of(
 
 @st.composite
 def _number_arrays(draw):
-    """Nested lists and tuples of numbers, all leaves at one depth: the
-    writer's C-encoder path."""
+    """Nested lists and tuples of numbers, all leaves at one depth: walked
+    like any list (only ndarrays take the writer's flat-encode path)."""
     shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     leaves = iter(draw(st.lists(_NUMBERS, min_size=math.prod(shape), max_size=math.prod(shape))))
 
@@ -555,6 +556,45 @@ def test_writer_matches_json_indent_2(doc):
     assert cli.dumps(doc) == json.dumps(doc, indent=2)
 
 
+_ARRAY_ELEMENTS = {
+    np.float64: st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308])),
+    np.int64: st.integers(-(2**63), 2**63 - 1),
+    np.bool_: st.booleans(),
+}
+
+
+@st.composite
+def _ndarrays(draw):
+    """Float, int and bool arrays of ndim 0 to 4 with axes of size 0 to 3."""
+    dtype = draw(st.sampled_from(list(_ARRAY_ELEMENTS)))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3))
+    return draw(hnp.arrays(dtype, shape, elements=_ARRAY_ELEMENTS[dtype]))
+
+
+def _tolisted(o):
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    if isinstance(o, dict):
+        return {key: _tolisted(value) for key, value in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_tolisted(value) for value in o]
+    return o
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    st.one_of(_ndarrays(), _SCALARS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+    ),
+    max_leaves=8,
+))
+def test_writer_matches_json_indent_2_on_arrays(doc):
+    # ndarray leaves are written as their tolist() at every nesting level
+    assert cli.dumps(doc) == json.dumps(_tolisted(doc), indent=2)
+
+
 def _documented_commands(graph, params, n):
     yield ["build", graph]
     yield ["dual", graph]
@@ -580,7 +620,7 @@ def test_every_report_is_json_indent_2(capsys, tmp_path, monkeypatch):
     for i, text in enumerate(texts):
         f = frame_from_graph(parse_edge_list(text))
         Path(f"g{i}.el").write_text(text)
-        Path(f"p{i}.json").write_text(json.dumps(pairs(random_dual_params(f, rng, scale=2.0).T)))
+        Path(f"p{i}.json").write_text(json.dumps(pairs(random_dual_params(f, rng, scale=2.0).T).tolist()))
         argvs += _documented_commands(f"g{i}.el", f"p{i}.json", f.n)
     for argv in argvs:
         code, out, _ = run(capsys, *argv)
@@ -588,3 +628,24 @@ def test_every_report_is_json_indent_2(capsys, tmp_path, monkeypatch):
         assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
         assert main([*argv, "--output", "out.json"]) == code
         assert Path("out.json").read_text(encoding="utf-8") == out, argv
+
+
+def test_large_reports_are_json_indent_2(capsys, tmp_path, monkeypatch):
+    # n = 60 in components of 40, 19 and 1 with shuffled labels: arrays of
+    # thousands of rows, rho -v's 1770 per-set reports
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(61)
+    parts = [random_connected_graph(rng, (40, 40), p=0.3), random_connected_graph(rng, (19, 19))]
+    label = rng.permutation(60) + 1
+    edges = sorted(tuple(sorted((int(label[u + offset - 1]), int(label[v + offset - 1]))))
+                   for g, offset in zip(parts, (0, 40)) for u, v in g.edges)
+    text = "n 60\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    f = frame_from_graph(parse_edge_list(text))
+    assert sorted(f.layout.sizes) == [1, 19, 40]
+    Path("g.el").write_text(text)
+    Path("p.json").write_text(json.dumps(pairs(random_dual_params(f, rng, scale=2.0).T).tolist()))
+    for argv in (["build", "g.el"], ["dual", "g.el"], ["dual", "g.el", "--params", "p.json"],
+                 ["rho", "g.el", "-r", "2", "-v"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
