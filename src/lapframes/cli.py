@@ -89,12 +89,12 @@ def set_reports(result: RhoResult, k: int) -> list[dict]:
     lexicographic order: the 1-based set, its radius, its spectrum sorted by
     magnitude (stable) and padded with zeros or cut to k entries (the
     surplus of r > k being structural zeros of a rank <= k operator), and
-    its r x r matrix C[s, s]."""
+    its r x r matrix C[s, s], formed again by the pass."""
     sets, spectra = result.sets, result.spectra
     by_mag = np.take_along_axis(spectra, np.argsort(-np.abs(spectra), axis=1, kind="stable"), axis=1)
     eigenvalues = np.zeros((len(sets), k), dtype=complex)
     eigenvalues[:, :min(k, sets.shape[1])] = by_mag[:, :k]
-    reduced = result.c[sets[:, :, None], sets[:, None, :]]
+    reduced = result.blocks()
     return [
         {"lambda": lam, "radius": radius, "eigenvalues": eigs, "reduced": mat}
         for lam, radius, eigs, mat in zip(

@@ -1,25 +1,25 @@
 """Erasure error operators and worst-case spectral radii.
 
-An erasure set L's error operator is the k x k map assembled from the erased
-dual and frame columns. Its nonzero spectrum is that of the r x r principal
-submatrix C[L, L] of the cross-Gramian C = Phi^H Psi, so all radii come from
-one C. At r = 1 the spectra are C's diagonal; at r >= 2 they come from
-stacks of at most CHUNK_SETS submatrices. ``worst_radius`` makes that one
-pass per (dual, r) and returns it whole, as arrays (C, the sets, their
-spectra and radii): the CLI formats it for ``rho -v`` and ``verify_order``
-reads the optimality laws from it. The witness set is built from the radii
-only when a caller reads it, since ``search`` never does. Every ``DualFrame``
-was checked where it was built (``Frame.canonical`` or ``dual_from_params``),
-so the radius kernel does not check it again; it still refuses non-finite
-spectra. ``error_operator`` and ``reduced_error_matrix`` build one
-set's matrices directly, as test oracles, and they still check duality.
+An erasure set s's error operator is the k x k map assembled from the erased
+dual and frame columns; its nonzero spectrum is that of the r x r principal
+submatrix C[s, s] of the cross-Gramian C = Phi^H Psi. Every dual is
+Psi_canonical + V B^T, so C = C_0 + W B^T, with C_0 = Phi^H Psi_canonical
+fixed per frame and W = Phi^H V. ``_RadiusPass``, the one pass, holds per
+frame and r the C(n, r) sets in lexicographic order, the blocks C_0[s, s]
+(measured, not the closed form blockdiag(I - J/n_j), so ``verify`` measures
+an independent quantity) and the index of W[s, B(s)]; per batch of flat
+shift vectors W is one real product, and C[s, s] = C_0[s, s] + W[s, B(s)]
+is formed in ``blocks`` alone, chunk by chunk. At r = 1 only
+W[i, B(i)] = phi_i^H v is needed, v_a being V[a, component of row a]:
+O(n k), with no n x n or n x m array.
 
-``shifted_radii`` is the pass for many shifted duals at once, as ``search``
-and ``uniqueness_probe`` evaluate them: every such dual's C is
-C_0 + W B^T, with C_0 = Phi^H Psi_canonical fixed per frame and W = Phi^H V
-linear in the shifts, so a batch costs one product for all its W and no
-dual or n x n array per point. ``worst_radius`` stays the general pass and
-the evaluator's test oracle.
+``worst_radius`` runs the pass on one dual's shifts and returns its sets,
+spectra and radii, which ``verify_order`` and ``rho -v`` read. A
+``DualFrame`` was checked where it was built, so only non-finite entries are
+refused here. ``shifted_radii`` is the same pass with
+``frames.check_shift_vectors`` in front and a maximum per dual at the end.
+``error_operator`` and ``reduced_error_matrix`` build one set's matrices
+directly, as test oracles, and they still check duality.
 """
 
 from __future__ import annotations
@@ -27,18 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb, isfinite
-from typing import Callable, NamedTuple
+from math import comb
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .frames import DUAL_TOL, DualFrame, Frame, check_shift_vectors, is_dual
+from .frames import DUAL_TOL, DualFrame, Frame, check_shift_vectors, is_dual, params_to_vector
 from .linalg import require_finite, small_complex_eigenvalues
 
 TIE_TOL = 1e-10
 MAX_SETS = 10**6
-CHUNK_SETS = 4096  # principal submatrices per stacked eigenvalue call
-CHUNK_ENTRIES = 1 << 16  # complex entries of W and of the gathered C per batch chunk
+CHUNK_ENTRIES = 1 << 15  # complex entries of W and of the gathered C[s, s] per chunk
 
 
 class EnumerationCapError(ValueError):
@@ -65,17 +64,15 @@ class ErasureSet:
 
 
 class RhoResult(NamedTuple):
-    """The worst radius of one (dual, r) pass and everything the pass holds:
-    C = Phi^H Psi, the N x r 0-based ``sets`` in lexicographic order, the
-    N x r ``spectra`` of their principal submatrices C[s, s] (at r = 1 a
-    read-only view of C's diagonal) and the N ``radii`` (each set's largest
-    eigenvalue magnitude)."""
+    """The worst radius of one (dual, r) pass, its N x r 0-based ``sets``
+    in lexicographic order, their N x r ``spectra`` and N ``radii``, and
+    ``blocks()``, which forms every C[s, s] (N x r x r) again from the pass."""
 
     radius: float
-    c: np.ndarray
     sets: np.ndarray
     spectra: np.ndarray
     radii: np.ndarray
+    blocks: Callable[[], np.ndarray]
 
     @property
     def witness(self) -> ErasureSet:
@@ -121,16 +118,6 @@ def _enumerate(n: int, r: int) -> np.ndarray:
     return sets
 
 
-@lru_cache(maxsize=4)
-def _submatrix_index(n: int, r: int) -> np.ndarray:
-    """Flat indices into an n x n C of every set's C[s, s], N x r x r; used
-    only when the N sets fit in one chunk, so it stays small."""
-    sets = _enumerate(n, r)
-    index = sets[:, :, None] * n + sets[:, None, :]
-    index.flags.writeable = False
-    return index
-
-
 def _erasure_sets(n: int, r: int) -> np.ndarray:
     """All C(n, r) sets as rows of 0-based indices, in lexicographic order.
 
@@ -145,89 +132,97 @@ def _erasure_sets(n: int, r: int) -> np.ndarray:
     return _enumerate(n, r)
 
 
-def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
-    """Maximum error-operator spectral radius over all erasure sets of size r.
+class _RadiusPass:
+    """The order-r radius pass of one frame (see the module docstring)."""
 
-    Enumerates all C(n, r) sets once. At r = 1 each set's one eigenvalue is
-    a diagonal entry of C, which must be finite; at r >= 2 the r eigenvalues
-    of each C[s, s] come from ``small_complex_eigenvalues``, CHUNK_SETS sets
-    at a time. ``RhoResult.witness`` picks the worst set from the radii.
-    """
-    sets = _erasure_sets(f.n, r)
-    with np.errstate(all="ignore"):  # a non-finite hand-built dual is refused below
-        c = f.analysis @ d.vectors
-    if r == 1:
-        spectra = c.diagonal()[:, None]
-        radii = np.abs(spectra[:, 0])
-        best = float(radii.max())
-        if not isfinite(best):  # an infinite radius may still come from finite entries
-            require_finite(spectra)
-        return RhoResult(best, c, sets, spectra, radii)
-    if len(sets) <= CHUNK_SETS:
-        spectra = small_complex_eigenvalues(c.take(_submatrix_index(f.n, r)))
-    else:
-        spectra = np.empty(sets.shape, dtype=complex)
-        for start in range(0, len(sets), CHUNK_SETS):
-            idx = sets[start:start + CHUNK_SETS]
-            spectra[start:start + len(idx)] = small_complex_eigenvalues(c[idx[:, :, None], idx[:, None, :]])
+    def __init__(self, f: Frame, r: int):
+        self.sets = sets = _erasure_sets(f.n, r)
+        self.r, self.k, n = r, f.k, f.n
+        canonical, phi = f.canonical.vectors, f.synthesis
+        # a flat row [Re nu, Im nu] times [[Re Phi, -Im Phi], [Im Phi, Re Phi]],
+        # columns interleaved, reads as the complex row nu^T conj(Phi)
+        product = np.empty((2, f.k, n, 2))
+        product[0, :, :, 0] = product[1, :, :, 1] = phi.real
+        product[1, :, :, 0] = phi.imag
+        product[0, :, :, 1] = -phi.imag
+        self.product = product.reshape(2 * f.k, 2 * n)
+        if r == 1:
+            self.fixed = (f.analysis.T * canonical).sum(axis=0)[:, None, None]  # C_0's diagonal
+            rows = np.repeat(np.arange(f.layout.m), np.asarray(f.layout.sizes) - 1) * 2 * f.k + np.arange(f.k)
+            self.gather = np.concatenate([rows, rows + f.k])  # [Re v, Im v] in a flat shift vector
+        else:
+            self.fixed = (f.analysis @ canonical)[sets[:, :, None], sets[:, None, :]]
+            self.index = f.block[sets][:, None, :] * n + sets[:, :, None]  # W[s_p, B(s_q)] in W^T
+        width = n if r == 1 else f.layout.m * n
+        self.span = max(1, CHUNK_ENTRIES // (r * r))  # sets per chunk
+        self.rows = max(1, CHUNK_ENTRIES // (width + self.fixed.size))  # duals per chunk
+
+    def shifts(self, x: np.ndarray) -> np.ndarray:
+        """W for each row of a B x 2mk batch of flat shift vectors: B x n
+        entries W[i, B(i)] at r = 1, else B x mn, each row W^T row-major."""
+        if self.r == 1:
+            x = x.take(self.gather, axis=1)
+        return (x.reshape(-1, 2 * self.k) @ self.product).view(complex).reshape(len(x), -1)
+
+    def blocks(self, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """C[s, s] = C_0[s, s] + W[s, B(s)] of sets lo:hi for every row of
+        ``shifts``' W: B x (hi - lo) x r x r."""
+        if self.r == 1:
+            return self.fixed[lo:hi] + w[:, lo:hi, None, None]
+        return self.fixed[lo:hi] + w.take(self.index[lo:hi], axis=1)
+
+    def chunks(self, x: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+        """(first row, first set, spectra) of each chunk of a batch, the
+        spectra B' x N' x r; non-finite entries are refused."""
+        for start in range(0, len(x), self.rows):
+            w = self.shifts(x[start:start + self.rows])
+            for lo in range(0, len(self.sets), self.span):
+                c = self.blocks(w, lo, lo + self.span)
+                if self.r == 1:
+                    require_finite(c)
+                yield start, lo, c[..., 0] if self.r == 1 else small_complex_eigenvalues(c)
+
+    def worst(self, x: np.ndarray) -> np.ndarray:
+        """Each row's largest radius over all sets."""
+        if len(x) <= self.rows and len(self.sets) <= self.span:  # one chunk
+            return np.abs(next(self.chunks(x))[2]).max(axis=(1, 2))
+        radii = np.zeros(len(x))
+        for start, _, spectra in self.chunks(x):
+            part = radii[start:start + len(spectra)]
+            np.maximum(part, np.abs(spectra).max(axis=(1, 2)), out=part)
+        return radii
+
+
+def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
+    """Maximum error-operator spectral radius over all erasure sets of size r:
+    the frame's order-r pass, with ``d.shifts`` as a batch of one."""
+    rp = _RadiusPass(f, r)
+    require_finite(d.shifts)
+    x = params_to_vector(d.shifts)[None]
+    spectra = np.empty(rp.sets.shape, dtype=complex)
+    for _, lo, chunk in rp.chunks(x):
+        spectra[lo:lo + rp.span] = chunk[0]
     radii = np.abs(spectra).max(axis=1)
-    return RhoResult(float(radii.max()), c, sets, spectra, radii)
+    return RhoResult(float(radii.max()), rp.sets, spectra, radii,
+                     lambda: rp.blocks(rp.shifts(x), 0, len(rp.sets))[0])
 
 
 def shifted_radii(f: Frame, r: int) -> Callable[[np.ndarray], np.ndarray]:
     """The evaluator of order-r worst radii, r in {1, 2}, of the duals
     Psi_canonical + V B^T: it maps a B x 2mk batch of flat shift vectors
-    (``frames.vector_to_params`` layout) to their B radii.
-
-    C_0 = Phi^H Psi_canonical is formed here, once: its diagonal at r = 1,
-    and at r = 2 the 2 x 2 blocks C_0[s, s] of every set. Per batch, duality
-    is decided by ``frames.check_shift_vectors``, W = Phi^H V comes from one
-    real product of the flat vectors with [[Re Phi, -Im Phi], [Im Phi,
-    Re Phi]] (columns interleaved, so the result reads as complex), and
-    C[s, s] = C_0[s, s] + W[s, B(s)] is a gather; r = 1 takes its largest
-    magnitude, r = 2 the largest root of each block from one stacked
-    ``small_complex_eigenvalues`` (the closed-form 2 x 2 roots). A batch goes
-    in chunks of about CHUNK_ENTRIES entries. Each radius matches
-    ``worst_radius`` on the formed dual to rounding, and so do the refusals:
-    a non-dual row as in ``dual_from_params``, and non-finite entries as
-    "matrix entries must be finite".
-    """
+    (``frames.vector_to_params`` layout) to their B radii, after
+    ``frames.check_shift_vectors`` has decided duality for the batch. The
+    frame's order-r pass is built once, here."""
     if r not in (1, 2):
         raise ValueError(f"shifted radii cover erasure orders 1 and 2, got {r}")
-    sets = _erasure_sets(f.n, r)
-    n, k, m = f.n, f.k, f.layout.m
-    canonical = f.canonical.vectors
-    if r == 1:
-        fixed = (f.analysis.T * canonical).sum(axis=0)
-        index = f.block * n + np.arange(n)  # W[i, B(i)] in W^T, flat m x n
-    else:
-        fixed = (f.analysis @ canonical)[sets[:, :, None], sets[:, None, :]]
-        index = f.block[sets][:, None, :] * n + sets[:, :, None]  # W[s_p, B(s_q)]
-    phi = f.synthesis
-    product = np.empty((2, k, n, 2))
-    product[0, :, :, 0] = product[1, :, :, 1] = phi.real
-    product[1, :, :, 0] = phi.imag
-    product[0, :, :, 1] = -phi.imag
-    product = product.reshape(2 * k, 2 * n)
-    rows = max(1, CHUNK_ENTRIES // (m * n + index.size))
-
-    def chunk_radii(x: np.ndarray) -> np.ndarray:
-        w = (x.reshape(-1, 2 * k) @ product).view(complex).reshape(len(x), m * n)
-        c = fixed + w.take(index, axis=1)
-        if r == 2:
-            return np.abs(small_complex_eigenvalues(c)).max(axis=(1, 2))
-        radii = np.abs(c).max(axis=1)
-        if not np.isfinite(radii).all():  # an infinite radius may still come from finite entries
-            require_finite(c)
-        return radii
+    rp = _RadiusPass(f, r)
+    dim = 2 * f.layout.m * f.k
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != 2 * m * k:
-            raise ValueError(f"expected a batch of {2 * m * k}-parameter rows, got shape {x.shape}")
+        if x.ndim != 2 or x.shape[1] != dim:
+            raise ValueError(f"expected a batch of {dim}-parameter rows, got shape {x.shape}")
         check_shift_vectors(f, x)
-        if len(x) <= rows:
-            return chunk_radii(x)
-        return np.concatenate([chunk_radii(x[start:start + rows]) for start in range(0, len(x), rows)])
+        return rp.worst(x)
 
     return evaluate

@@ -19,11 +19,12 @@ n x m component indicator, and a ``DualFrame`` carries both Psi and V. The
 canonical dual is computed once per frame (``Frame.canonical``) and every
 shifted dual is built from it by ``dual_from_params``. Each dual is checked
 once, where it is built, so code that receives a ``DualFrame`` need not
-check it again. ``dual_from_params`` first tries an O(k^2 m) certificate
-from the same structure, Psi Phi^H - I = E + V (Phi B)^H, and runs
-``is_dual`` on the formed dual only when the certificate cannot vouch for it.
-``check_shift_vectors`` decides a whole batch of shifts, given as flat
-vectors, from a bound on that certificate without forming any dual.
+check it again. One bound from the same structure,
+Psi Phi^H - I = E + V (Phi B)^H, decides for both ``dual_from_params`` and
+``check_shift_vectors`` (a batch of shifts given as flat vectors): a dual is
+accepted without being formed when max |V| is below a per-frame limit
+(``shift_limit``), and anything the bound cannot vouch for goes to
+``is_dual`` on the formed dual.
 """
 
 from __future__ import annotations
@@ -93,21 +94,19 @@ class Frame:
 
     @cached_property
     def certificate(self) -> DualityTerms:
-        """Phi / spectrum and the shift-independent duality terms, unchecked:
-        ``canonical_dual`` decides on their E before any other reader."""
+        """Phi / spectrum and the norms of the duality certificate's terms,
+        unchecked: ``canonical_dual`` decides on max |E|."""
         with np.errstate(all="ignore"):  # a zero in the spectrum gives a NaN E
             canon = self.synthesis / self.spectrum[:, None]
-            error = canon @ self.analysis - np.eye(self.k)
+            error = np.abs(canon @ self.analysis - np.eye(self.k)).max()
         canon.flags.writeable = False
-        block_sums = np.add.reduceat(self.synthesis, self.layout.offsets[:-1], axis=1).conj().T
+        block_sums = np.add.reduceat(self.synthesis, self.layout.offsets[:-1], axis=1)
         return DualityTerms(
             canon,
-            error,
-            block_sums,
             float(np.abs(canon).max()),
             float(np.abs(self.synthesis).sum(axis=1).max()),
-            float(np.abs(error).max()),
-            float(np.abs(block_sums).sum(axis=0).max()),
+            float(error),
+            float(np.abs(block_sums).sum(axis=1).max()),
         )
 
 
@@ -127,14 +126,11 @@ class DualityCheck(NamedTuple):
 
 class DualityTerms(NamedTuple):
     """Per-frame terms of the duality certificate: Psi_canonical = Phi /
-    spectrum (k x n, read-only), E = Psi_canonical Phi^H - I (k x k),
-    P = (Phi B)^H (m x k, Phi B being each block's column sum),
-    max |Psi_canonical|, the largest row 1-norm of Phi, max |E| and the
-    largest column 1-norm of P."""
+    spectrum (k x n, read-only), max |Psi_canonical|, the largest row 1-norm
+    of Phi, max |E| for E = Psi_canonical Phi^H - I, and the largest row
+    1-norm of Phi B (each block's column sum)."""
 
     canonical: np.ndarray
-    error: np.ndarray
-    block_sums: np.ndarray
     canonical_max: float
     row_norm: float
     error_max: float
@@ -218,36 +214,44 @@ def canonical_dual(f: Frame) -> DualFrame:
     NaN or rows that break that fact are caught. Read ``f.canonical`` instead.
     """
     terms = f.certificate
-    residual = float(np.abs(terms.error).max())
-    if not residual <= DUAL_TOL:
-        raise ValueError(f"canonical dual residual {residual:.3e} above {DUAL_TOL:g}")
+    if not terms.error_max <= DUAL_TOL:
+        raise ValueError(f"canonical dual residual {terms.error_max:.3e} above {DUAL_TOL:g}")
     shifts = np.zeros((f.k, f.layout.m), dtype=complex)
     shifts.flags.writeable = False
     return DualFrame(terms.canonical, shifts)
+
+
+def shift_limit(f: Frame) -> float:
+    """The certificate's bound: every dual of ``f`` whose shifts have
+    max |V| below this limit passes ``is_dual``.
+
+    Psi Phi^H - I = E + V (Phi B)^H, so the residual is at most
+    max |E| + max |V| p, p being the largest row 1-norm of Phi B; the
+    rounding of forming Psi and of ``is_dual``'s n-term products is at most
+    n eps (max |Psi_canonical| + max |V|) max_row ||Phi||_1. The sum is
+    affine in max |V|, and the limit is where it reaches DUAL_TOL / 2 (the
+    halving absorbs the rounding of the bound itself). It is negative, or
+    NaN, on a frame whose max |E| is over DUAL_TOL, so nothing passes there.
+    """
+    t = f.certificate
+    rounding = f.n * EPS * t.row_norm
+    return (DUAL_TOL / 2 - t.error_max - rounding * t.canonical_max) / (t.block_sums_norm + rounding)
 
 
 def dual_from_params(f: Frame, shifts: np.ndarray) -> DualFrame:
     """Canonical dual plus one constant shift per component block: the k x m
     ``shifts`` V add column j to every dual vector of block j.
 
-    Duality is verified, not assumed. The dual is accepted without a k x n x k
-    product when max |E + V P| plus a rounding bound,
-    n eps (max |Psi_canonical| + max |V|) max_row ||Phi||_1, is within
-    ``DUAL_TOL`` (``Frame.certificate`` holds E, P and the two maxima). The
-    bound covers forming Psi_canonical + V B^T and also ``is_dual``'s own
-    n-term products, so the certificate accepts only duals that ``is_dual``
-    accepts. Otherwise ``is_dual`` decides on the formed dual, so a NaN or
-    huge shift is refused there with its residual, as without the certificate.
+    Duality is verified, not assumed: the dual is accepted without a
+    k x n x k product when max |V| is below ``shift_limit``, and otherwise
+    ``is_dual`` decides on the formed dual, so a NaN or huge shift is
+    refused there with its residual.
     """
     shifts = np.asarray(shifts, dtype=complex)
     if shifts.shape != (f.k, f.layout.m):
         raise ValueError(f"shifts must be {f.k} x {f.layout.m}, got {shifts.shape}")
     dual = DualFrame(f.canonical.vectors + shifts.take(f.block, axis=1), shifts)
-    terms = f.certificate
-    with np.errstate(all="ignore"):  # a NaN or inf bound defers to is_dual
-        residual = np.abs(terms.error + shifts @ terms.block_sums).max()
-        rounding = f.n * EPS * (terms.canonical_max + np.abs(shifts).max()) * terms.row_norm
-    if residual + rounding <= DUAL_TOL:
+    if np.abs(shifts).max() < shift_limit(f):
         return dual
     check = is_dual(f, dual)
     if not check.ok:
@@ -265,26 +269,22 @@ def vector_to_params(x: np.ndarray, m: int, k: int) -> np.ndarray:
     return (parts[:, 0] + 1j * parts[:, 1]).T
 
 
+def params_to_vector(shifts: np.ndarray) -> np.ndarray:
+    """The flat vector of k x m shifts, the inverse of ``vector_to_params``."""
+    return np.stack([shifts.real.T, shifts.imag.T], axis=1).reshape(-1)
+
+
 def check_shift_vectors(f: Frame, x: np.ndarray) -> None:
     """Decide duality for every row of a B x 2mk batch of flat shift vectors
     (the ``vector_to_params`` layout) without forming a dual, or refuse the
     first row, in row order, that ``dual_from_params`` refuses.
 
-    Each |V_aj| is at most sqrt(2) max |x|, so per row
-    max |E| + sqrt(2) max |x| p, with p the largest column 1-norm of P, bounds
-    ``dual_from_params``'s residual, and the same substitution bounds its
-    rounding term. Both are affine in max |x|, so a row is accepted when
-    max |x| is below the value at which their sum reaches DUAL_TOL / 2 (the
-    halving absorbs the rounding of both bounds, so ``dual_from_params``
-    would accept the row too). Every other row, a NaN or infinite one
+    Each |V_aj| is at most sqrt(2) max |x|, so a row is accepted when that
+    is below ``shift_limit``. Every other row, a NaN or infinite one
     included, goes through ``dual_from_params`` itself, which keeps its
     verdict and its message.
     """
-    f.canonical  # decides on E before the bound reads it
-    t = f.certificate
-    rounding = f.n * EPS * t.row_norm
-    limit = (DUAL_TOL / 2 - t.error_max - rounding * t.canonical_max) / (SQRT2 * (t.block_sums_norm + rounding))
-    accepted = np.abs(x).max(axis=1) < limit
+    accepted = np.abs(x).max(axis=1) < shift_limit(f) / SQRT2
     if not accepted.all():
         for row in np.flatnonzero(~accepted):
             dual_from_params(f, vector_to_params(x[row], f.layout.m, f.k))

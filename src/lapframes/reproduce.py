@@ -131,8 +131,11 @@ def _max_abs(a, b) -> float:
 
 
 def run_reproduction(tol: float | None = None) -> dict:
-    """Run every reference check; returns a JSON-ready report."""
+    """Run every reference check; returns a JSON-ready report. An infinite
+    tolerance would pass every check, so it must be finite and nonnegative."""
     t = DEFAULT_TOL if tol is None else float(tol)
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {t}")
     checks: list[dict] = []
 
     # Pipeline fixture: parse, build, and check invariant quantities.

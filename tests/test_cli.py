@@ -290,11 +290,11 @@ def test_input_failures_exit_2(capsys, tmp_path, monkeypatch, graph, params, arg
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_rho_refuses_a_nonfinite_hand_built_dual(capsys, k3k2_file, psi1_params_file, monkeypatch, bad, r):
     # dual_from_params refuses such shifts itself; a dual that skipped it
-    # still meets worst_radius's finiteness check, at r = 1 on C's diagonal
+    # still meets worst_radius's finiteness check
     def load(path, frame):
-        vectors = frame.canonical.vectors.copy()
-        vectors[0, 0] = bad
-        return DualFrame(vectors, frame.canonical.shifts)
+        shifts = np.zeros((frame.k, frame.layout.m), dtype=complex)
+        shifts[0, 0] = bad
+        return DualFrame(frame.canonical.vectors, shifts)
 
     monkeypatch.setattr(cli, "_load_dual", load)
     with warnings.catch_warnings():
@@ -322,16 +322,16 @@ def test_internal_failures_exit_3(capsys, k3k2_file, monkeypatch, exc):
 def _per_set_docs(result, k):
     """rho -v's reports built one set at a time, the way the per-set report
     objects did: spectrum sorted by magnitude (stable), zero-padded or cut to
-    k entries, and C[s, s] gathered with np.ix_."""
+    k entries, and the pass's own C[s, s]."""
     docs = []
-    for cols, eigs in zip(result.sets, result.spectra):
+    for cols, eigs, block in zip(result.sets, result.spectra, result.blocks()):
         by_mag = eigs[np.argsort(-np.abs(eigs), kind="stable")]
         spectrum = np.concatenate([by_mag, np.zeros(k, dtype=complex)])[:k]
         docs.append({
             "lambda": [int(i) + 1 for i in cols],
             "radius": float(np.max(np.abs(eigs))),
             "eigenvalues": [[float(z.real), float(z.imag)] for z in spectrum],
-            "reduced": [[[float(z.real), float(z.imag)] for z in row] for row in result.c[np.ix_(cols, cols)]],
+            "reduced": [[[float(z.real), float(z.imag)] for z in row] for row in block],
         })
     return docs
 
@@ -435,13 +435,27 @@ def _address_cap():
 
 
 def test_python_m_memory_failure_exits_3(tmp_path):
-    limit = _address_cap()  # C = Phi^H Psi on 30000 vertices is 13.4 GiB of complex
-    (tmp_path / "big.el").write_text("n 30000\n1 2\n")
-    done = _python_m("rho", "big.el", "-r", "1", cwd=tmp_path, preexec_fn=limit)
+    # 15000 disjoint edges: k = 15000, so the synthesis matrix alone is
+    # 15000 x 30000 complex, 6.71 GiB
+    limit = _address_cap()
+    (tmp_path / "big.el").write_text("n 30000\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 30000, 2)))
+    done = _python_m("build", "big.el", cwd=tmp_path, preexec_fn=limit)
     assert done.returncode == 3
     assert done.stdout == ""
     assert done.stderr.startswith("error: MemoryError: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+def test_python_m_order_one_radius_fits_the_cap(tmp_path):
+    # one edge and 29998 isolated vertices: at r = 1 the radius pass needs
+    # O(n k), never the 13.4 GiB n x n cross-Gramian
+    limit = _address_cap()
+    (tmp_path / "big.el").write_text("n 30000\n1 2\n")
+    done = _python_m("rho", "big.el", "-r", "1", cwd=tmp_path, preexec_fn=limit)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    doc = json.loads(done.stdout)
+    assert (doc["radius"], doc["witness"]) == (0.5, [1])
 
 
 @pytest.mark.parametrize("command", ["build", "dual"])
@@ -482,6 +496,24 @@ def test_reproduce_perturbed_reference_fails(capsys, monkeypatch):
     assert not doc["all_pass"]
     failed = [c["name"] for c in doc["checks"] if not c["pass"]]
     assert failed == ["explicit: canonical dual matches the reference vectors"]
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1", "-1e-300"])
+def test_reproduce_refuses_a_tolerance_no_check_could_meet_or_miss(capsys, tol):
+    code, out, err = run(capsys, "reproduce", f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err == f"error: tolerance must be finite and nonnegative, got {float(tol)}\n"
+
+
+def test_reproduce_tolerance_zero_is_valid(capsys):
+    # every check runs and reports against 0: those with an exact residual
+    # pass, the rest fail, and the exit code says so
+    code, out, err = run(capsys, "reproduce", "--json", "--tol", "0")
+    doc = json.loads(out)
+    assert (code, err) == (1, "")
+    assert doc["tolerance"] == 0.0
+    assert all(c["pass"] == (c["residual"] == 0.0) for c in doc["checks"])
+    assert any(c["pass"] for c in doc["checks"]) and not doc["all_pass"]
 
 
 def test_output_flag_and_determinism(capsys, tmp_path, k3k2_file):

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapframes import (
     ErasureSet,
@@ -20,6 +22,7 @@ from lapframes import (
 from lapframes.cli import set_reports
 from lapframes.erasure import TIE_TOL, EnumerationCapError
 from lapframes.frames import DualFrame, vector_to_params
+from lapframes.graph import Graph
 from lapframes.reproduce import (
     CANONICAL_OPERATORS,
     EXPECTED_RADII,
@@ -29,6 +32,7 @@ from lapframes.reproduce import (
 )
 
 from conftest import EDGE_TEXT, K3K2_TEXT, assert_multiset_close, complex_of
+from oracles import cross_gramian_radius
 from sampling import (
     params_to_vector,
     random_connected_graph,
@@ -156,7 +160,8 @@ def test_worst_radius_r1_reads_the_diagonal_of_c(monkeypatch, k3k2_frame):
     f = k3k2_frame
     dual = dual_from_params(f, random_dual_params(f, np.random.default_rng(73), scale=2.0))
     result = worst_radius(f, dual, 1)
-    diagonal = np.diagonal(f.analysis @ dual.vectors)
+    diagonal = result.blocks()[:, 0, 0]  # the pass's own C[i, i]
+    assert np.max(np.abs(diagonal - np.diagonal(f.analysis @ dual.vectors))) <= 1e-12
     assert result.spectra.shape == (f.n, 1)
     assert np.array_equal(result.spectra[:, 0], diagonal)
     assert result.radius == float(np.abs(diagonal).max())
@@ -166,12 +171,12 @@ def test_worst_radius_r1_reads_the_diagonal_of_c(monkeypatch, k3k2_frame):
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)], ids=["nan", "inf", "inf-nan"])
 def test_worst_radius_refuses_a_nonfinite_hand_built_dual(k3k2_frame, bad, r):
-    # built directly, so no duality check has seen it; the refusal comes
-    # without numpy's warning from an infinite entry in the C product
+    # built directly, so no duality check has seen its shifts; the refusal
+    # comes without a numpy warning
     f = k3k2_frame
-    vectors = f.canonical.vectors.copy()
-    vectors[0, 0] = bad
-    dual = DualFrame(vectors, f.canonical.shifts)
+    shifts = np.zeros((f.k, f.layout.m), dtype=complex)
+    shifts[0, 0] = bad
+    dual = DualFrame(f.canonical.vectors, shifts)
     with warnings.catch_warnings(), pytest.raises(ValueError, match="^matrix entries must be finite$"):
         warnings.simplefilter("error")
         worst_radius(f, dual, r)
@@ -300,8 +305,8 @@ def test_worst_radius_unitary_invariance(k3k2_frame, k3k2_canonical):
         base2 = worst_radius(f, dual, 2).radius
         for _ in range(5):
             fu, du = rotated(f, dual, random_unitary(f.k, rng))
-            assert abs(worst_radius(fu, du, 1).radius - base1) <= 1e-8
-            assert abs(worst_radius(fu, du, 2).radius - base2) <= 1e-8
+            assert abs(cross_gramian_radius(fu, du, 1) - base1) <= 1e-8
+            assert abs(cross_gramian_radius(fu, du, 2) - base2) <= 1e-8
 
 
 def test_pair_radius_dominates_singletons_for_canonical():
@@ -353,7 +358,7 @@ def _kernel_cases(r, rng):
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_batched_kernel_matches_per_set_loop(monkeypatch, chunk):
     if chunk is not None:
-        monkeypatch.setattr(erasure, "CHUNK_SETS", chunk)  # sets straddle chunk boundaries
+        monkeypatch.setattr(erasure, "CHUNK_ENTRIES", chunk)  # sets straddle chunk boundaries
     rng = np.random.default_rng(67)
     for r in (1, 2, 3):
         for case, (f, dual) in enumerate(_kernel_cases(r, rng)):
@@ -391,9 +396,9 @@ def test_worst_radius_memory_stays_flat():
 
 
 def _radii_oracle(f, x, r):
-    """The radius of each row's formed dual, one general pass per row."""
+    """The radius of each row's formed dual, one n x n pass per row."""
     m, k = f.layout.m, f.k
-    return np.array([worst_radius(f, dual_from_params(f, vector_to_params(row, m, k)), r).radius for row in x])
+    return np.array([cross_gramian_radius(f, dual_from_params(f, vector_to_params(row, m, k)), r) for row in x])
 
 
 def _message(call):
@@ -463,3 +468,56 @@ def test_shifted_radii_validate_order_and_shape(k3k2_frame, edge_frame):
         erasure.shifted_radii(edge_frame, 2)
     with pytest.raises(ValueError, match="12-parameter rows"):
         erasure.shifted_radii(k3k2_frame, 1)(np.zeros((2, 11)))
+
+
+def _graph_of_sizes(sizes, rng, shuffle):
+    """A graph whose components have the given sizes: each a random tree plus
+    random extra edges, in label order, then relabelled if ``shuffle``."""
+    edges, offset = set(), 0
+    for size in sizes:
+        for v in range(1, size):
+            edges.add((offset + int(rng.integers(0, v)), offset + v))
+        edges.update((offset + u, offset + v) for u, v in combinations(range(size), 2) if rng.random() < 0.3)
+        offset += size
+    labels = rng.permutation(offset) if shuffle else np.arange(offset)
+    return Graph(offset, frozenset(tuple(sorted((int(labels[u]) + 1, int(labels[v]) + 1))) for u, v in edges))
+
+
+def _closed_form_radius(f, shifts, r):
+    """The worst radius from C = blockdiag(I - J/n_j) + W B^T, W = Phi^H V,
+    with numpy's eigvals on every C[s, s]."""
+    c = np.zeros((f.n, f.n), dtype=complex)
+    for lo, hi in zip(f.layout.offsets, f.layout.offsets[1:]):
+        c[lo:hi, lo:hi] = np.eye(hi - lo) - 1 / (hi - lo)
+    c += (f.analysis @ shifts)[:, f.block]
+    sets = np.array(list(combinations(range(f.n), r)))
+    return float(np.abs(np.linalg.eigvals(c[sets[:, :, None], sets[:, None, :]])).max())
+
+
+@st.composite
+def _sizes_seed_scale(draw):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)
+                 .filter(lambda s: 2 <= sum(s) <= 12 and max(s) >= 2))
+    return sizes, draw(st.integers(0, 2**32 - 1)), draw(st.floats(-3.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sizes_seed_scale())
+def test_radii_depend_only_on_component_sizes_and_w(case):
+    # every dual is Psi_canonical + V B^T, so C = blockdiag(I - J/n_j) + W B^T:
+    # the radii match that closed form, and a second graph with the same
+    # component sizes and the same W (its V = Lambda^-1 Phi W) has the same radii
+    sizes, seed, scale = case
+    rng = np.random.default_rng(seed)
+    f = frame_from_graph(_graph_of_sizes(sizes, rng, shuffle=True))
+    other = frame_from_graph(_graph_of_sizes(f.layout.sizes, rng, shuffle=False))
+    assert other.layout.sizes == f.layout.sizes
+    shifts = rng.normal(size=(f.k, f.layout.m)) + 1j * rng.normal(size=(f.k, f.layout.m))
+    shifts *= 10.0 ** scale / np.linalg.norm(shifts)
+    w = f.analysis @ shifts
+    other_shifts = (other.synthesis @ w) / other.spectrum[:, None]
+    for r in range(1, min(3, f.n - 1) + 1):
+        radius = worst_radius(f, dual_from_params(f, shifts), r).radius
+        assert abs(radius - _closed_form_radius(f, shifts, r)) <= 1e-12 * radius
+        other_radius = worst_radius(other, dual_from_params(other, other_shifts), r).radius
+        assert abs(other_radius - radius) <= 1e-12 * radius
