@@ -3,23 +3,20 @@
 An erasure set s's error operator is the k x k map assembled from the erased
 dual and frame columns; its nonzero spectrum is that of the r x r principal
 submatrix C[s, s] of the cross-Gramian C = Phi^H Psi. Every dual is
-Psi_canonical + V B^T, so C = C_0 + W B^T, with C_0 = Phi^H Psi_canonical
-fixed per frame and W = Phi^H V. ``_RadiusPass``, the one pass, holds per
-frame and r the C(n, r) sets in lexicographic order, the blocks C_0[s, s]
-(measured, not the closed form blockdiag(I - J/n_j), so ``verify`` measures
-an independent quantity) and the index of W[s, B(s)]; per batch of flat
-shift vectors W is one real product, and C[s, s] = C_0[s, s] + W[s, B(s)]
-is formed in ``blocks`` alone, chunk by chunk. At r = 1 only
-W[i, B(i)] = phi_i^H v is needed, v_a being V[a, component of row a]:
-O(n k), with no n x n or n x m array.
+Psi_canonical + V B^T, so C = C_0 + W B^T with W = Phi^H V, and
+``_RadiusPass``, the one pass, holds per frame and r the C(n, r) sets and
+C_0 = Phi^H Psi_canonical, measured (not the closed form, so ``verify``
+measures an independent quantity): its diagonal at r = 1, else n x n. The
+blocks C_0[s, s] and the index of W[s, B(s)] are kept only when every set
+fits one chunk, the search's case, and gathered per chunk otherwise, so
+memory stays flat. ``blocks`` alone forms C[s, s] = C_0[s, s] + W[s, B(s)].
+At r = 1 only W[i, B(i)] = phi_i^H v is needed, v_a being V[a, component
+of row a]: O(n k), with no n x n or n x m array.
 
-``worst_radius`` runs the pass on one dual's shifts and returns its sets,
-spectra and radii, which ``verify_order`` and ``rho -v`` read. A
-``DualFrame`` was checked where it was built, so only non-finite entries are
-refused here. ``shifted_radii`` is the same pass with
-``frames.check_shift_vectors`` in front and a maximum per dual at the end.
-``error_operator`` and ``reduced_error_matrix`` build one set's matrices
-directly, as test oracles, and they still check duality.
+``worst_radius`` runs the pass on a dual's shifts; ``shifted_radii`` is the
+same pass with ``frames.check_shift_vectors`` in front and a maximum per
+dual at the end. ``error_operator`` and ``reduced_error_matrix`` build one
+set's matrices directly, as test oracles, and they still check duality.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -137,74 +134,77 @@ class _RadiusPass:
 
     def __init__(self, f: Frame, r: int):
         self.sets = sets = _erasure_sets(f.n, r)
-        self.r, self.k, n = r, f.k, f.n
-        canonical, phi = f.canonical.vectors, f.synthesis
-        # a flat row [Re nu, Im nu] times [[Re Phi, -Im Phi], [Im Phi, Re Phi]],
-        # columns interleaved, reads as the complex row nu^T conj(Phi)
-        product = np.empty((2, f.k, n, 2))
-        product[0, :, :, 0] = product[1, :, :, 1] = phi.real
-        product[1, :, :, 0] = phi.imag
-        product[0, :, :, 1] = -phi.imag
-        self.product = product.reshape(2 * f.k, 2 * n)
+        self.r, self.k, self.n, self.block, m = r, f.k, f.n, f.block, f.layout.m
+        self.phi_bar = f.analysis.T  # conj(Phi), k x n
+        # [Re, Im] of each entry of v at r = 1, else of each nu_j: the gathered row reads as complex
+        rows = np.repeat(np.arange(m), np.asarray(f.layout.sizes) - 1) if r == 1 else np.arange(m)[:, None]
+        re = rows * 2 * f.k + np.arange(f.k)
+        self.gather = np.stack([re, re + f.k], axis=-1).reshape(-1)
         if r == 1:
-            self.fixed = (f.analysis.T * canonical).sum(axis=0)[:, None, None]  # C_0's diagonal
-            rows = np.repeat(np.arange(f.layout.m), np.asarray(f.layout.sizes) - 1) * 2 * f.k + np.arange(f.k)
-            self.gather = np.concatenate([rows, rows + f.k])  # [Re v, Im v] in a flat shift vector
+            self.c0 = np.einsum("ia,ai->i", f.analysis, f.canonical.vectors)[:, None, None]
         else:
-            self.fixed = (f.analysis @ canonical)[sets[:, :, None], sets[:, None, :]]
-            self.index = f.block[sets][:, None, :] * n + sets[:, :, None]  # W[s_p, B(s_q)] in W^T
-        width = n if r == 1 else f.layout.m * n
+            self.c0 = f.analysis @ f.canonical.vectors
         self.span = max(1, CHUNK_ENTRIES // (r * r))  # sets per chunk
-        self.rows = max(1, CHUNK_ENTRIES // (width + self.fixed.size))  # duals per chunk
+        self.held = self._measure(sets) if r > 1 and len(sets) <= self.span else None
+        width = f.n if r == 1 else m * f.n
+        self.rows = max(1, CHUNK_ENTRIES // (width + min(len(sets), self.span) * r * r))  # duals per chunk
+
+    def _measure(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """C_0[s, s] of sets s, and the index of W[s_p, B(s_q)] in a W^T row."""
+        return self.c0.take(s[:, :, None] * self.n + s[:, None, :]), self.block[s][:, None, :] * self.n + s[:, :, None]
 
     def shifts(self, x: np.ndarray) -> np.ndarray:
         """W for each row of a B x 2mk batch of flat shift vectors: B x n
         entries W[i, B(i)] at r = 1, else B x mn, each row W^T row-major."""
-        if self.r == 1:
-            x = x.take(self.gather, axis=1)
-        return (x.reshape(-1, 2 * self.k) @ self.product).view(complex).reshape(len(x), -1)
+        v = x.take(self.gather, axis=1).view(complex).reshape(-1, self.k)
+        return (v @ self.phi_bar).reshape(len(x), -1)
 
     def blocks(self, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """C[s, s] = C_0[s, s] + W[s, B(s)] of sets lo:hi for every row of
         ``shifts``' W: B x (hi - lo) x r x r."""
         if self.r == 1:
-            return self.fixed[lo:hi] + w[:, lo:hi, None, None]
-        return self.fixed[lo:hi] + w.take(self.index[lo:hi], axis=1)
+            return self.c0[lo:hi] + w[:, lo:hi, None, None]
+        fixed, index = self.held or self._measure(self.sets[lo:hi])  # if held, lo:hi is every set
+        return fixed + w.take(index, axis=1)
 
-    def chunks(self, x: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
-        """(first row, first set, spectra) of each chunk of a batch, the
-        spectra B' x N' x r; non-finite entries are refused."""
-        for start in range(0, len(x), self.rows):
-            w = self.shifts(x[start:start + self.rows])
-            for lo in range(0, len(self.sets), self.span):
-                c = self.blocks(w, lo, lo + self.span)
-                if self.r == 1:
-                    require_finite(c)
-                yield start, lo, c[..., 0] if self.r == 1 else small_complex_eigenvalues(c)
+    def spectra(self, c: np.ndarray) -> np.ndarray:
+        """The r eigenvalues of every block; at r = 1 the entries, unchecked."""
+        return c[..., 0] if self.r == 1 else small_complex_eigenvalues(c)
+
+    def largest(self, spectra: np.ndarray) -> np.ndarray:
+        """The largest magnitude of each row of a B x N x r stack of spectra.
+        Order 1's are C's entries, checked only when a radius is not finite
+        (it may still come from finite entries)."""
+        radii = np.abs(spectra).max(axis=(1, 2))
+        if self.r == 1 and not np.isfinite(radii).all():
+            require_finite(spectra)
+        return radii
 
     def worst(self, x: np.ndarray) -> np.ndarray:
-        """Each row's largest radius over all sets."""
-        if len(x) <= self.rows and len(self.sets) <= self.span:  # one chunk
-            return np.abs(next(self.chunks(x))[2]).max(axis=(1, 2))
-        radii = np.zeros(len(x))
-        for start, _, spectra in self.chunks(x):
-            part = radii[start:start + len(spectra)]
-            np.maximum(part, np.abs(spectra).max(axis=(1, 2)), out=part)
+        """Each row's largest radius over all sets, ``rows`` duals at a time."""
+        if len(x) > self.rows:
+            return np.concatenate([self.worst(x[i:i + self.rows]) for i in range(0, len(x), self.rows)])
+        w = self.shifts(x)
+        radii = self.largest(self.spectra(self.blocks(w, 0, self.span)))
+        for lo in range(self.span, len(self.sets), self.span):
+            np.maximum(radii, self.largest(self.spectra(self.blocks(w, lo, lo + self.span))), out=radii)
         return radii
 
 
 def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
     """Maximum error-operator spectral radius over all erasure sets of size r:
-    the frame's order-r pass, with ``d.shifts`` as a batch of one."""
+    the frame's order-r pass, with ``d.shifts`` as a batch of one. Only the
+    shifts are read, so ``d`` must come from ``Frame.canonical`` or
+    ``frames.dual_from_params``; non-finite shifts are refused."""
     rp = _RadiusPass(f, r)
     require_finite(d.shifts)
     x = params_to_vector(d.shifts)[None]
+    w = rp.shifts(x)
     spectra = np.empty(rp.sets.shape, dtype=complex)
-    for _, lo, chunk in rp.chunks(x):
-        spectra[lo:lo + rp.span] = chunk[0]
-    radii = np.abs(spectra).max(axis=1)
-    return RhoResult(float(radii.max()), rp.sets, spectra, radii,
-                     lambda: rp.blocks(rp.shifts(x), 0, len(rp.sets))[0])
+    for lo in range(0, len(rp.sets), rp.span):
+        spectra[lo:lo + rp.span] = rp.spectra(rp.blocks(w, lo, lo + rp.span))[0]
+    radii = rp.largest(spectra[:, None])  # one radius per set
+    return RhoResult(float(radii.max()), rp.sets, spectra, radii, lambda: rp.blocks(w, 0, len(rp.sets))[0])
 
 
 def shifted_radii(f: Frame, r: int) -> Callable[[np.ndarray], np.ndarray]:

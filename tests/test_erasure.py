@@ -395,6 +395,22 @@ def test_worst_radius_memory_stays_flat():
     assert peak < 32 * 2**20
 
 
+def test_worst_radius_memory_stays_flat_across_chunks():
+    # 117 480 triples in 33 chunks; C_0[s, s] and the W index kept for every
+    # set at once traced 36 MiB here, against 12 MiB gathered per chunk
+    rng = np.random.default_rng(71)
+    f = frame_from_graph(random_graph(90, rng, p=0.3))
+    dual = dual_from_params(f, random_dual_params(f, rng, scale=1.0))
+    tracemalloc.start()
+    try:
+        result = worst_radius(f, dual, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.sets) > 30 * erasure.CHUNK_ENTRIES // 9
+    assert peak < 24 * 2**20
+
+
 def _radii_oracle(f, x, r):
     """The radius of each row's formed dual, one n x n pass per row."""
     m, k = f.layout.m, f.k
