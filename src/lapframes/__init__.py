@@ -10,7 +10,7 @@ import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .erasure import ErasureSet, error_operator, reduced_error_matrix, worst_radius
+from .erasure import worst_radius
 from .frames import (
     DUAL_TOL,
     DualFrame,
@@ -20,9 +20,7 @@ from .frames import (
     dual_to_doc,
     frame_bounds,
     frame_from_graph,
-    frame_operator,
     frame_to_doc,
-    gramian,
     is_dual,
 )
 from .graph import (
@@ -33,7 +31,6 @@ from .graph import (
     contiguous_decomposition,
     laplacian,
     parse_edge_list,
-    permuted_laplacian,
 )
 from .linalg import (
     EIG_TOL,

@@ -13,16 +13,17 @@ run its pure-Python encoder.
 Exit codes: 0 success or all checks passed, 1 a verification check failed,
 2 usage or input error, 3 internal or resource failure. Every refusal in
 the package is a ``ValueError`` (an unreadable or undecodable input file,
-an unwritable output path and more erasure sets than the enumeration cap
-included), and ``main`` alone maps exceptions to exit codes: a
-``ValueError`` to 2, any other exception (a ``ConvergenceError``, a
-``MemoryError``) to 3, each as one line on stderr.
+an unwritable output path or stdout and more erasure sets than the
+enumeration cap included), and ``main`` alone maps exceptions to exit
+codes: a ``ValueError`` to 2, any other exception (a ``ConvergenceError``,
+a ``MemoryError``) to 3, each as one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -104,15 +105,26 @@ def set_reports(result: RhoResult, k: int) -> list[dict]:
 
 
 def _write(text: str, output: str | None) -> None:
-    if not output:
-        print(text)
-        return
+    """Write ``text`` and a newline to ``output``, or to stdout, flushed here
+    so that a failed write (a closed pipe, a full disk) is refused like an
+    unwritable ``--output`` rather than left for interpreter shutdown. The
+    stdout buffer keeps the bytes it could not write, and shutdown would
+    flush them again (exit 120), so a failed stdout is pointed at the null
+    device before the error is raised."""
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)  # then the newline: no second copy of a large document
-            fh.write("\n")
+        if output:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)  # then the newline: no second copy of a large document
+                fh.write("\n")
+        else:
+            print(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise ValueError(f"cannot write {output}: {exc}") from exc
+        if not output:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ValueError(f"cannot write {output or 'stdout'}: {exc}") from exc
 
 
 def _array_text(a: np.ndarray, level: int) -> str:
@@ -205,7 +217,7 @@ def cmd_rho(args) -> int:
         "command": "rho",
         "r": args.r,
         "radius": result.radius,
-        "witness": list(result.witness.indices),
+        "witness": list(result.witness),
     }
     if args.verbose:
         payload["reports"] = set_reports(result, frame.k)

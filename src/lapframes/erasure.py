@@ -1,4 +1,4 @@
-"""Erasure error operators and worst-case spectral radii.
+"""Worst-case spectral radii of erasure error operators.
 
 An erasure set s's error operator is the k x k map assembled from the erased
 dual and frame columns; its nonzero spectrum is that of the r x r principal
@@ -15,13 +15,11 @@ of row a]: O(n k), with no n x n or n x m array.
 
 ``worst_radius`` runs the pass on a dual's shifts; ``shifted_radii`` is the
 same pass with ``frames.check_shift_vectors`` in front and a maximum per
-dual at the end. ``error_operator`` and ``reduced_error_matrix`` build one
-set's matrices directly, as test oracles, and they still check duality.
+dual at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
@@ -29,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .frames import DUAL_TOL, DualFrame, Frame, check_shift_vectors, is_dual, params_to_vector
+from .frames import DualFrame, Frame, check_shift_vectors, params_to_vector
 from .linalg import require_finite, small_complex_eigenvalues
 
 TIE_TOL = 1e-10
@@ -39,25 +37,6 @@ CHUNK_ENTRIES = 1 << 15  # complex entries of W and of the gathered C[s, s] per 
 
 class EnumerationCapError(ValueError):
     """C(n, r) erasure sets exceed MAX_SETS."""
-
-
-@dataclass(frozen=True)
-class ErasureSet:
-    """A nonempty set of 1-based coefficient indices, stored sorted."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.indices) == 0:
-            raise ValueError("erasure set must be nonempty")
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ValueError(f"indices must be sorted and distinct, got {self.indices}")
-        if self.indices[0] < 1:
-            raise ValueError(f"indices must be >= 1, got {self.indices}")
-
-    @property
-    def r(self) -> int:
-        return len(self.indices)
 
 
 class RhoResult(NamedTuple):
@@ -72,38 +51,12 @@ class RhoResult(NamedTuple):
     blocks: Callable[[], np.ndarray]
 
     @property
-    def witness(self) -> ErasureSet:
-        """The lexicographically smallest set whose radius is within
-        ``TIE_TOL`` of the maximum, so it does not depend on evaluation order."""
+    def witness(self) -> tuple[int, ...]:
+        """The 1-based indices of the lexicographically smallest set whose
+        radius is within ``TIE_TOL`` of the maximum, so it does not depend on
+        evaluation order."""
         first = self.sets[(self.radii >= self.radius - TIE_TOL).argmax()]
-        return ErasureSet(tuple(int(i) + 1 for i in first))
-
-
-def _check_lam(f: Frame, lam: ErasureSet) -> np.ndarray:
-    if lam.indices[-1] > f.n:
-        raise ValueError(f"erasure index {lam.indices[-1]} exceeds n={f.n}")
-    return np.asarray(lam.indices) - 1
-
-
-def _require_dual(f: Frame, d: DualFrame) -> None:
-    check = is_dual(f, d)
-    if not check.ok:
-        raise ValueError(f"non-dual pair: duality residual {check.residual:.3e} above {DUAL_TOL:g}")
-
-
-def error_operator(f: Frame, d: DualFrame, lam: ErasureSet) -> np.ndarray:
-    """k x k matrix of the reconstruction contribution of the erased set."""
-    _require_dual(f, d)
-    cols = _check_lam(f, lam)
-    return d.vectors[:, cols] @ f.synthesis[:, cols].conj().T
-
-
-def reduced_error_matrix(f: Frame, d: DualFrame, lam: ErasureSet) -> np.ndarray:
-    """r x r matrix with entry (i, j) pairing dual vector j against frame
-    vector i over the erased set; shares the full operator's nonzero spectrum."""
-    _require_dual(f, d)
-    cols = _check_lam(f, lam)
-    return f.synthesis[:, cols].conj().T @ d.vectors[:, cols]
+        return tuple(int(i) + 1 for i in first)
 
 
 @lru_cache(maxsize=4)

@@ -174,17 +174,6 @@ def frame_from_graph(g: Graph) -> Frame:
     return Frame(k, g.n, synthesis, decomp, spectrum)
 
 
-def gramian(f: Frame) -> np.ndarray:
-    """n x n matrix of pairwise inner products; entry (i, j) pairs vector j
-    against vector i."""
-    return f.synthesis.conj().T @ f.synthesis
-
-
-def frame_operator(f: Frame) -> np.ndarray:
-    """Sum of the rank-one outer products of the frame vectors (k x k)."""
-    return f.synthesis @ f.synthesis.conj().T
-
-
 def frame_bounds(f: Frame) -> tuple[float, float]:
     """(lower, upper) frame bounds: the frame operator is diag(spectrum), so
     they are the spectrum's extremes.

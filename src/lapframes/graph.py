@@ -51,10 +51,6 @@ class Graph:
         edges.flags.writeable = False
         return edges
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 @dataclass(frozen=True)
 class ComponentDecomposition:
@@ -83,20 +79,6 @@ class ComponentDecomposition:
     @property
     def n(self) -> int:
         return len(self.perm)
-
-    def order(self) -> tuple[int, ...]:
-        """Original vertex labels listed in block order (inverse of perm)."""
-        inv = [0] * self.n
-        for v, pos in enumerate(self.perm, start=1):
-            inv[pos - 1] = v
-        return tuple(inv)
-
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        """Original vertex labels of each component, in block order."""
-        order = self.order()
-        return tuple(
-            order[self.offsets[j]:self.offsets[j + 1]] for j in range(self.m)
-        )
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -181,15 +163,6 @@ def components(g: Graph) -> ComponentDecomposition:
             perm[v - 1] = pos
             pos += 1
     return ComponentDecomposition(len(blocks), sizes, offsets, tuple(perm))
-
-
-def permuted_laplacian(g: Graph, decomp: ComponentDecomposition | None = None) -> np.ndarray:
-    """Laplacian with vertices reordered into contiguous component blocks."""
-    if decomp is None:
-        decomp = components(g)
-    lap = laplacian(g)
-    idx = np.array(decomp.order()) - 1
-    return lap[np.ix_(idx, idx)]
 
 
 def contiguous_decomposition(sizes: tuple[int, ...] | list[int]) -> ComponentDecomposition:

@@ -296,7 +296,7 @@ def _order_report(f: Frame, r: int, probe: ProbeReport | None) -> OptimalityRepo
     measured = result.radius
     details = [_detail(f"order-{r} canonical radius", predicted, measured, RADIUS_TOL)]
     notes: list[str] = []
-    extras: dict = {"witness": list(result.witness.indices)}
+    extras: dict = {"witness": list(result.witness)}
     witnesses: list[np.ndarray] = [canon.shifts]
 
     # the per-component laws, read off the pass's spectra of C[s, s]

@@ -3,25 +3,19 @@
 Two fixtures are exercised. The pipeline fixture runs the edge list through
 parsing and frame construction and checks unitary-invariant quantities
 (Gramian, frame operator, pairings, radii). The explicit fixture pins a
-specific synthesis matrix for the same graph and checks the canonical dual,
-every 2-erasure error operator of the canonical and the shifted dual, and
-all their radii entrywise against frozen reference values.
+specific synthesis matrix for the same graph and checks the canonical dual
+and, for the canonical and the shifted dual, every 2-erasure error operator
+against frozen reference values and every 2-erasure radius as the radius
+pass of ``erasure.worst_radius``, the one the command line runs, computes it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .erasure import ErasureSet, error_operator, reduced_error_matrix, worst_radius
-from .frames import (
-    Frame,
-    dual_from_params,
-    frame_from_graph,
-    frame_operator,
-    gramian,
-)
-from .graph import contiguous_decomposition, parse_edge_list, permuted_laplacian
-from .linalg import small_complex_eigenvalues
+from .erasure import RhoResult, worst_radius
+from .frames import DualFrame, Frame, dual_from_params, frame_from_graph
+from .graph import contiguous_decomposition, laplacian, parse_edge_list
 
 EDGE_LIST_TEXT = "n 5\n1 2\n1 3\n2 3\n4 5\n"
 
@@ -130,6 +124,20 @@ def _max_abs(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
+def _pass_residuals(f: Frame, d: DualFrame, operators: dict) -> tuple[float, float, RhoResult]:
+    """The worst entrywise error of the frozen k x k ``operators``, each
+    formed as Psi[:, s] Phi[:, s]^H, and of ``EXPECTED_RADII`` against the
+    order-2 radius pass of ``d``, which is returned too."""
+    rho = worst_radius(f, d, 2)
+    radii = dict(zip(map(tuple, (rho.sets + 1).tolist()), rho.radii.tolist()))
+    worst_ops = worst_radii = 0.0
+    for lam, expected in operators.items():
+        cols = np.array(lam) - 1
+        worst_ops = max(worst_ops, _max_abs(d.vectors[:, cols] @ f.analysis[cols], expected))
+        worst_radii = max(worst_radii, abs(radii[lam] - EXPECTED_RADII[lam]))
+    return worst_ops, worst_radii, rho
+
+
 def run_reproduction(tol: float | None = None) -> dict:
     """Run every reference check; returns a JSON-ready report. An infinite
     tolerance would pass every check, so it must be finite and nonnegative."""
@@ -138,13 +146,14 @@ def run_reproduction(tol: float | None = None) -> dict:
         raise ValueError(f"tolerance must be finite and nonnegative, got {t}")
     checks: list[dict] = []
 
-    # Pipeline fixture: parse, build, and check invariant quantities.
+    # Pipeline fixture: parse, build, and check invariant quantities. Its
+    # components are already contiguous, so block order is label order.
     g = parse_edge_list(EDGE_LIST_TEXT)
     frame = frame_from_graph(g)
     checks.append(_check("pipeline: gramian equals the graph Laplacian",
-                         _max_abs(gramian(frame), permuted_laplacian(g)), t))
+                         _max_abs(frame.analysis @ frame.synthesis, laplacian(g)), t))
     checks.append(_check("pipeline: frame operator is diag(3, 3, 2)",
-                         _max_abs(frame_operator(frame), np.diag([3.0, 3.0, 2.0])), t))
+                         _max_abs(frame.synthesis @ frame.analysis, np.diag([3.0, 3.0, 2.0])), t))
     canon = frame.canonical
     pairings = np.sort(np.abs(np.sum(frame.synthesis.conj() * canon.vectors, axis=0)))
     checks.append(_check("pipeline: canonical pairings are (1/2, 1/2, 2/3, 2/3, 2/3)",
@@ -154,7 +163,7 @@ def run_reproduction(tol: float | None = None) -> dict:
     rho1 = worst_radius(frame, canon, 1)
     checks.append(_check("pipeline: order-1 canonical radius is 2/3", abs(rho1.radius - 2 / 3), t))
     checks.append(_check("pipeline: order-1 witness is vector 1",
-                         0.0 if rho1.witness.indices == (1,) else 1.0, t))
+                         0.0 if rho1.witness == (1,) else 1.0, t))
     rho2 = worst_radius(frame, canon, 2)
     checks.append(_check("pipeline: order-2 canonical radius is 1", abs(rho2.radius - 1.0), t))
     shifted = dual_from_params(frame, SHIFTS)
@@ -169,40 +178,23 @@ def run_reproduction(tol: float | None = None) -> dict:
     # Explicit fixture: entrywise comparisons against the frozen matrices.
     ef = explicit_frame()
     checks.append(_check("explicit: gramian equals the graph Laplacian",
-                         _max_abs(gramian(ef), LAPLACIAN_5), t))
+                         _max_abs(ef.analysis @ ef.synthesis, LAPLACIAN_5), t))
     ecanon = ef.canonical
     checks.append(_check("explicit: canonical dual matches the reference vectors",
                          _max_abs(ecanon.vectors, EXPECTED_CANONICAL_VECTORS), t))
-    eshift = dual_from_params(ef, SHIFTS)
 
-    worst_ops = 0.0
-    worst_radii = 0.0
-    for lam, expected in CANONICAL_OPERATORS.items():
-        op = error_operator(ef, ecanon, ErasureSet(lam))
-        worst_ops = max(worst_ops, _max_abs(op, expected))
-        radius = float(np.max(np.abs(small_complex_eigenvalues(reduced_error_matrix(ef, ecanon, ErasureSet(lam))))))
-        worst_radii = max(worst_radii, abs(radius - EXPECTED_RADII[lam]))
+    worst_ops, worst_radii, rho_canon = _pass_residuals(ef, ecanon, CANONICAL_OPERATORS)
     checks.append(_check("explicit: ten canonical 2-erasure operators match", worst_ops, t))
     checks.append(_check("explicit: ten canonical 2-erasure radii match", worst_radii, t))
-
-    spec12 = np.sort(
-        small_complex_eigenvalues(reduced_error_matrix(ef, ecanon, ErasureSet((1, 2)))).real
-    )[::-1]
+    spec12 = np.sort(rho_canon.spectra[0].real)[::-1]  # sets[0] is (1, 2)
     checks.append(_check("explicit: reduced spectrum at (1, 2) is (1, 1/3)",
                          _max_abs(spec12, [1.0, 1 / 3]), t))
 
-    worst_ops = 0.0
-    worst_radii = 0.0
-    for lam, expected in SHIFTED_OPERATORS.items():
-        op = error_operator(ef, eshift, ErasureSet(lam))
-        worst_ops = max(worst_ops, _max_abs(op, expected))
-        radius = float(np.max(np.abs(small_complex_eigenvalues(reduced_error_matrix(ef, eshift, ErasureSet(lam))))))
-        worst_radii = max(worst_radii, abs(radius - EXPECTED_RADII[lam]))
+    worst_ops, worst_radii, rho_shift = _pass_residuals(ef, dual_from_params(ef, SHIFTS), SHIFTED_OPERATORS)
     checks.append(_check("explicit: ten shifted-dual 2-erasure operators match", worst_ops, t))
     checks.append(_check("explicit: ten shifted-dual 2-erasure radii match", worst_radii, t))
     checks.append(_check("explicit: order-2 radius is 1 for both duals",
-                         max(abs(worst_radius(ef, ecanon, 2).radius - 1.0),
-                             abs(worst_radius(ef, eshift, 2).radius - 1.0)), t))
+                         max(abs(rho_canon.radius - 1.0), abs(rho_shift.radius - 1.0)), t))
 
     return {
         "schema": 1,

@@ -30,7 +30,7 @@ def random_connected_graph(
     n = int(rng.integers(n_range[0], n_range[1] + 1))
     for _ in range(max_tries):
         g = random_graph(n, rng, p)
-        if components(g).m == 1 and g.edge_count > 0:
+        if components(g).m == 1 and g.edges:
             return g
     raise RuntimeError(f"failed to sample a connected graph on {n} vertices")
 

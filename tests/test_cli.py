@@ -358,11 +358,11 @@ def test_rho_verbose_matches_per_set_formatting(capsys, tmp_path, monkeypatch):
     assert above_k > 0
 
 
-def _python_m(*argv, cwd, preexec_fn=None):
+def _python_m(*argv, cwd, preexec_fn=None, stdout=subprocess.PIPE):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "lapframes", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
+    return subprocess.run([sys.executable, "-m", "lapframes", *argv], cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120, preexec_fn=preexec_fn)
 
 
 def test_python_m_passes_exit_codes(tmp_path):
@@ -385,6 +385,33 @@ def test_python_m_build_leaves_reproduce_unloaded(tmp_path):
     loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
     assert {"lapframes.cli", "lapframes.optimality"} <= loaded
     assert "lapframes.reproduce" not in loaded
+
+
+def _closed_pipe():
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("target, command, reason", [
+    (_closed_pipe, ["rho", "edge.el", "-r", "1"], "[Errno 32] Broken pipe"),
+    pytest.param(lambda: os.open("/dev/full", os.O_WRONLY), ["reproduce"], "[Errno 28] No space left on device",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+], ids=["closed-pipe", "full-device"])
+def test_python_m_unwritable_stdout_exits_2(tmp_path, monkeypatch, target, command, reason):
+    # a report that cannot reach stdout is refused like an unwritable
+    # --output: one error line, and nothing left for interpreter shutdown
+    # (run buffered, as stdout is by default, so the unwritten bytes stay
+    # in the buffer after the failed flush)
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    (tmp_path / "edge.el").write_text(EDGE_TEXT)
+    fd = target()
+    try:
+        done = _python_m(*command, cwd=tmp_path, stdout=fd)
+    finally:
+        os.close(fd)
+    assert done.returncode == 2
+    assert done.stderr == f"error: cannot write stdout: {reason}\n"
 
 
 @pytest.mark.parametrize("command", [["dual", "edge.el"], ["rho", "edge.el", "-r", "1"]])
@@ -496,6 +523,18 @@ def test_reproduce_perturbed_reference_fails(capsys, monkeypatch):
     assert not doc["all_pass"]
     failed = [c["name"] for c in doc["checks"] if not c["pass"]]
     assert failed == ["explicit: canonical dual matches the reference vectors"]
+
+
+def test_reproduce_fails_a_broken_radius_pass(capsys, monkeypatch):
+    # the explicit radii are read from the radius pass the other commands
+    # run, so spectra off by one part in a million fail both radius checks
+    exact = erasure.small_complex_eigenvalues
+    monkeypatch.setattr(erasure, "small_complex_eigenvalues", lambda a: exact(a) * (1 + 1e-6))
+    failed = {c["name"] for c in reproduce.run_reproduction()["checks"] if not c["pass"]}
+    assert {"explicit: ten canonical 2-erasure radii match",
+            "explicit: ten shifted-dual 2-erasure radii match"} <= failed
+    code, out, _ = run(capsys, "reproduce")
+    assert code == 1 and "SOME CHECKS FAILED" in out
 
 
 @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1", "-1e-300"])

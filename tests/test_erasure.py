@@ -8,14 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapframes import (
-    ErasureSet,
     canonical_dual,
     dual_from_params,
     erasure,
-    error_operator,
     frame_from_graph,
     parse_edge_list,
-    reduced_error_matrix,
     small_complex_eigenvalues,
     worst_radius,
 )
@@ -32,7 +29,7 @@ from lapframes.reproduce import (
 )
 
 from conftest import EDGE_TEXT, K3K2_TEXT, assert_multiset_close, complex_of
-from oracles import cross_gramian_radius
+from oracles import cross_gramian_radius, error_operator, reduced_matrix
 from sampling import (
     params_to_vector,
     random_connected_graph,
@@ -54,22 +51,10 @@ def shifted_dual(f):
     return dual_from_params(f, SHIFTS)
 
 
-def test_erasure_set_validation():
-    with pytest.raises(ValueError, match="nonempty"):
-        ErasureSet(())
-    with pytest.raises(ValueError, match="sorted and distinct"):
-        ErasureSet((2, 1))
-    with pytest.raises(ValueError, match="sorted and distinct"):
-        ErasureSet((1, 1))
-    with pytest.raises(ValueError, match=">= 1"):
-        ErasureSet((0, 1))
-    assert ErasureSet((2, 5)).r == 2
-
-
 def test_error_operator_reference_matrices(explicit):
     f, canon = explicit
     for lam, expected in CANONICAL_OPERATORS.items():
-        op = error_operator(f, canon, ErasureSet(lam))
+        op = error_operator(f, canon, np.array(lam) - 1)
         assert np.max(np.abs(op - np.array(expected))) <= 1e-12
 
 
@@ -77,63 +62,53 @@ def test_error_operator_shifted_reference_matrices(explicit):
     f, _ = explicit
     dual = shifted_dual(f)
     for lam, expected in SHIFTED_OPERATORS.items():
-        op = error_operator(f, dual, ErasureSet(lam))
+        op = error_operator(f, dual, np.array(lam) - 1)
         assert np.max(np.abs(op - np.array(expected))) <= 1e-12
 
 
 def test_error_operator_full_set_is_identity(explicit):
     f, canon = explicit
-    op = error_operator(f, canon, ErasureSet((1, 2, 3, 4, 5)))
+    op = error_operator(f, canon, range(5))
     assert np.max(np.abs(op - np.eye(3))) <= 1e-12
-
-
-def test_error_operator_rejects_non_dual(explicit):
-    f, canon = explicit
-    broken = DualFrame(2.0 * canon.vectors, canon.shifts)
-    with pytest.raises(ValueError, match="non-dual"):
-        error_operator(f, broken, ErasureSet((1,)))
-
-
-def test_error_operator_rejects_out_of_range(explicit):
-    f, canon = explicit
-    with pytest.raises(ValueError, match="exceeds"):
-        error_operator(f, canon, ErasureSet((6,)))
 
 
 def test_reduced_matrix_first_pair(explicit):
     # inner products of the listed canonical/frame vectors give
     # [[2/3, -1/3], [-1/3, 2/3]]; quadratic roots are {1, 1/3}
     f, canon = explicit
-    reduced = reduced_error_matrix(f, canon, ErasureSet((1, 2)))
+    result = worst_radius(f, canon, 2)
+    assert result.sets[0].tolist() == [0, 1]
+    reduced = result.blocks()[0]
     assert np.max(np.abs(reduced - np.array([[2 / 3, -1 / 3], [-1 / 3, 2 / 3]]))) <= 1e-12
-    assert_multiset_close(small_complex_eigenvalues(reduced), [1.0, 1 / 3], tol=1e-12)
+    assert_multiset_close(result.spectra[0], [1.0, 1 / 3], tol=1e-12)
 
 
 def test_reduced_matrix_second_block_pair(explicit):
     # vectors (0,0,+-1) against duals (0,0,+-1/2): [[1/2,-1/2],[-1/2,1/2]]
     f, canon = explicit
-    reduced = reduced_error_matrix(f, canon, ErasureSet((4, 5)))
+    result = worst_radius(f, canon, 2)
+    assert result.sets[-1].tolist() == [3, 4]
+    reduced = result.blocks()[-1]
     assert np.max(np.abs(reduced - np.array([[0.5, -0.5], [-0.5, 0.5]]))) <= 1e-12
-    assert_multiset_close(small_complex_eigenvalues(reduced), [1.0, 0.0], tol=1e-12)
+    assert_multiset_close(result.spectra[-1], [1.0, 0.0], tol=1e-12)
 
 
 def test_reduced_matrix_singletons_are_pairings(explicit):
     f, canon = explicit
     pairings = np.sum(f.synthesis.conj() * canon.vectors, axis=0)
-    for i in range(1, 6):
-        reduced = reduced_error_matrix(f, canon, ErasureSet((i,)))
-        assert reduced.shape == (1, 1)
-        assert abs(reduced[0, 0] - pairings[i - 1]) <= 1e-12
+    reduced = worst_radius(f, canon, 1).blocks()
+    assert reduced.shape == (5, 1, 1)
+    assert np.max(np.abs(reduced[:, 0, 0] - pairings)) <= 1e-12
 
 
 def test_worst_radius_fixture_orders(explicit):
     f, canon = explicit
     r1 = worst_radius(f, canon, 1)
     assert abs(r1.radius - 2 / 3) <= 1e-12
-    assert r1.witness.indices == (1,)
+    assert r1.witness == (1,)
     r2 = worst_radius(f, canon, 2)
     assert abs(r2.radius - 1.0) <= 1e-12
-    assert r2.witness.indices == (1, 2)
+    assert r2.witness == (1, 2)
     for rep in set_reports(r2, f.k):
         assert abs(rep["radius"] - EXPECTED_RADII[tuple(rep["lambda"])]) <= 1e-12
 
@@ -143,7 +118,7 @@ def test_worst_radius_equals_max_pairing_for_r1():
     done = 0
     while done < 20:
         g = random_graph(int(rng.integers(2, 9)), rng)
-        if g.edge_count == 0:
+        if not g.edges:
             continue
         f = frame_from_graph(g)
         dual = dual_from_params(f, random_dual_params(f, rng, scale=2.0))
@@ -165,7 +140,7 @@ def test_worst_radius_r1_reads_the_diagonal_of_c(monkeypatch, k3k2_frame):
     assert result.spectra.shape == (f.n, 1)
     assert np.array_equal(result.spectra[:, 0], diagonal)
     assert result.radius == float(np.abs(diagonal).max())
-    assert result.witness.indices == (int(np.abs(diagonal).argmax()) + 1,)
+    assert result.witness == (int(np.abs(diagonal).argmax()) + 1,)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -206,27 +181,28 @@ def test_erasure_sets_are_cached_read_only_and_capped_every_call(k3k2_frame, mon
 
 
 def test_reduced_and_full_spectra_agree():
-    # 200 random (frame, dual, erasure) triples, r <= 4
+    # 200 random (frame, dual, erasure) triples, r <= 4: the set's spectrum
+    # from the radius pass against the nonzero spectrum of its k x k operator
     rng = np.random.default_rng(43)
     done = 0
     while done < 200:
         g = random_graph(int(rng.integers(3, 9)), rng)
-        if g.edge_count == 0:
+        if not g.edges:
             continue
         f = frame_from_graph(g)
         dual = dual_from_params(f, random_dual_params(f, rng))
         r = int(rng.integers(1, min(4, f.n - 1) + 1))
-        subset = tuple(sorted(rng.choice(f.n, size=r, replace=False) + 1))
-        lam = ErasureSet(tuple(int(i) for i in subset))
-        reduced = reduced_error_matrix(f, dual, lam)
-        full = error_operator(f, dual, lam)
-        reduced_eigs = list(small_complex_eigenvalues(reduced))
+        cols = np.sort(rng.choice(f.n, size=r, replace=False))
+        result = worst_radius(f, dual, r)
+        row = np.flatnonzero((result.sets == cols).all(axis=1))[0]
+        full = error_operator(f, dual, cols)
+        pass_eigs = list(result.spectra[row])
         full_eigs = list(small_complex_eigenvalues(full))
         np_full = list(np.linalg.eigvals(full))
-        size = max(len(reduced_eigs), len(full_eigs))
+        size = max(len(pass_eigs), len(full_eigs))
         pad = lambda eigs: eigs + [0.0] * (size - len(eigs))
-        scale = max(1.0, max(abs(e) for e in full_eigs + reduced_eigs))
-        assert_multiset_close(pad(reduced_eigs), pad(full_eigs), tol=1e-8 * scale)
+        scale = max(1.0, max(abs(e) for e in full_eigs + pass_eigs))
+        assert_multiset_close(pad(pass_eigs), pad(full_eigs), tol=1e-8 * scale)
         assert_multiset_close(pad(full_eigs), pad(np_full), tol=1e-8 * scale)
         done += 1
 
@@ -261,7 +237,7 @@ def test_connected_canonical_pair_spectra():
         f = None
         from lapframes import components
 
-        if g.edge_count == 0 or components(g).m != 1:
+        if not g.edges or components(g).m != 1:
             continue
         f = frame_from_graph(g)
         canon = canonical_dual(f)
@@ -316,7 +292,7 @@ def test_pair_radius_dominates_singletons_for_canonical():
     done = 0
     while done < 10:
         g = random_graph(int(rng.integers(3, 8)), rng)
-        if g.edge_count == 0:
+        if not g.edges:
             continue
         f = frame_from_graph(g)
         canon = canonical_dual(f)
@@ -329,13 +305,13 @@ def test_pair_radius_dominates_singletons_for_canonical():
 
 def _per_set_loop(f, dual, r):
     """The reference enumeration: scalar eigenvalues of each set's reduced
-    matrix, one set at a time, in lexicographic order."""
+    matrix Phi[:, s]^H Psi[:, s], one set at a time, in lexicographic order,
+    each set with its 1-based indices."""
     out = []
-    for subset in combinations(range(1, f.n + 1), r):
-        lam = ErasureSet(subset)
-        reduced = reduced_error_matrix(f, dual, lam)
+    for subset in combinations(range(f.n), r):
+        reduced = reduced_matrix(f, dual, subset)
         eigs = small_complex_eigenvalues(reduced)
-        out.append((lam, reduced, eigs, float(np.max(np.abs(eigs)))))
+        out.append((tuple(i + 1 for i in subset), reduced, eigs, float(np.max(np.abs(eigs)))))
     return out
 
 
@@ -348,7 +324,7 @@ def _kernel_cases(r, rng):
     done = 0
     while done < 4:
         g = random_graph(int(rng.integers(r + 2, 10)), rng)
-        if g.edge_count == 0:
+        if not g.edges:
             continue
         f = frame_from_graph(g)
         yield f, dual_from_params(f, random_dual_params(f, rng, scale=2.0))
@@ -369,10 +345,10 @@ def test_batched_kernel_matches_per_set_loop(monkeypatch, chunk):
             assert result.witness == next(lam for lam, *_, radius in loop if radius >= best - TIE_TOL)
             if case == 0:  # every radius ties: the witness is the first set
                 assert np.ptp(result.radii) <= TIE_TOL
-                assert result.witness.indices == tuple(range(1, r + 1))
+                assert result.witness == tuple(range(1, r + 1))
 
             reports = set_reports(result, f.k)
-            assert [tuple(rep["lambda"]) for rep in reports] == [lam.indices for lam, *_ in loop]
+            assert [tuple(rep["lambda"]) for rep in reports] == [lam for lam, *_ in loop]
             for rep, (_, reduced, eigs, radius) in zip(reports, loop):
                 scale = max(1.0, radius)
                 assert abs(rep["radius"] - radius) <= 1e-12 * scale
