@@ -49,7 +49,6 @@ from .optimality import (
     alternate_optimal_dual,
     predicted_worst_radius,
     search_optimal_dual,
-    singleton_shift_dual,
     uniqueness_probe,
     verify_order,
 )

@@ -8,14 +8,15 @@ Psi_canonical + V B^T, so C = C_0 + W B^T with W = Phi^H V, and
 C_0 = Phi^H Psi_canonical, measured (not the closed form, so ``verify``
 measures an independent quantity): its diagonal at r = 1, else n x n. The
 blocks C_0[s, s] and the index of W[s, B(s)] are kept only when every set
-fits one chunk, the search's case, and gathered per chunk otherwise, so
+fits one chunk, the search's case, and taken per chunk otherwise, so
 memory stays flat. ``blocks`` alone forms C[s, s] = C_0[s, s] + W[s, B(s)].
-At r = 1 only W[i, B(i)] = phi_i^H v is needed, v_a being V[a, component
-of row a]: O(n k), with no n x n or n x m array.
+The pass takes its shifts as a B x k x m batch of matrices V. At r = 1 only
+W[i, B(i)] = phi_i^H v is needed, v_a being V[a, component of row a]:
+O(n k), with no n x n or n x m array.
 
-``worst_radius`` runs the pass on a dual's shifts; ``shifted_radii`` is the
-same pass with ``frames.check_shift_vectors`` in front and a maximum per
-dual at the end.
+``worst_radius`` runs the pass on a dual's shifts as a batch of one;
+``shifted_radii`` is the same pass with ``frames.check_shifts`` in front and
+a maximum per dual at the end.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .frames import DualFrame, Frame, check_shift_vectors, params_to_vector
+from .frames import DualFrame, Frame, check_shifts
 from .linalg import require_finite, small_complex_eigenvalues
 
 TIE_TOL = 1e-10
 MAX_SETS = 10**6
-CHUNK_ENTRIES = 1 << 15  # complex entries of W and of the gathered C[s, s] per chunk
+CHUNK_ENTRIES = 1 << 15  # complex entries of W and of C[s, s] per chunk
 
 
 class EnumerationCapError(ValueError):
@@ -41,14 +42,17 @@ class EnumerationCapError(ValueError):
 
 class RhoResult(NamedTuple):
     """The worst radius of one (dual, r) pass, its N x r 0-based ``sets``
-    in lexicographic order, their N x r ``spectra`` and N ``radii``, and
-    ``blocks()``, which forms every C[s, s] (N x r x r) again from the pass."""
+    in lexicographic order, their N x r ``spectra`` and N ``radii``,
+    ``blocks()``, which forms every C[s, s] (N x r x r) again from the pass,
+    and the pass's ``worst``, the worst radius of each dual of a B x k x m
+    batch of shifts, for another dual of the same frame and r."""
 
     radius: float
     sets: np.ndarray
     spectra: np.ndarray
     radii: np.ndarray
     blocks: Callable[[], np.ndarray]
+    worst: Callable[[np.ndarray], np.ndarray]
 
     @property
     def witness(self) -> tuple[int, ...]:
@@ -89,11 +93,9 @@ class _RadiusPass:
         self.sets = sets = _erasure_sets(f.n, r)
         self.r, self.k, self.n, self.block, m = r, f.k, f.n, f.block, f.layout.m
         self.phi_bar = f.analysis.T  # conj(Phi), k x n
-        # [Re, Im] of each entry of v at r = 1, else of each nu_j: the gathered row reads as complex
-        rows = np.repeat(np.arange(m), np.asarray(f.layout.sizes) - 1) if r == 1 else np.arange(m)[:, None]
-        re = rows * 2 * f.k + np.arange(f.k)
-        self.gather = np.stack([re, re + f.k], axis=-1).reshape(-1)
         if r == 1:
+            # the index of V[a, component of row a] in a row-major V
+            self.own = np.arange(f.k) * m + np.repeat(np.arange(m), np.asarray(f.layout.sizes) - 1)
             self.c0 = np.einsum("ia,ai->i", f.analysis, f.canonical.vectors)[:, None, None]
         else:
             self.c0 = f.analysis @ f.canonical.vectors
@@ -106,11 +108,14 @@ class _RadiusPass:
         """C_0[s, s] of sets s, and the index of W[s_p, B(s_q)] in a W^T row."""
         return self.c0.take(s[:, :, None] * self.n + s[:, None, :]), self.block[s][:, None, :] * self.n + s[:, :, None]
 
-    def shifts(self, x: np.ndarray) -> np.ndarray:
-        """W for each row of a B x 2mk batch of flat shift vectors: B x n
-        entries W[i, B(i)] at r = 1, else B x mn, each row W^T row-major."""
-        v = x.take(self.gather, axis=1).view(complex).reshape(-1, self.k)
-        return (v @ self.phi_bar).reshape(len(x), -1)
+    def shifts(self, v: np.ndarray) -> np.ndarray:
+        """W for each matrix of a B x k x m batch of shifts V: B x n entries
+        W[i, B(i)] at r = 1, else B x mn, each row W^T row-major."""
+        if self.r == 1:
+            rows = v.reshape(len(v), -1).take(self.own, axis=1)
+        else:
+            rows = v.transpose(0, 2, 1).reshape(-1, self.k)  # the columns nu_j
+        return (rows @ self.phi_bar).reshape(len(v), -1)
 
     def blocks(self, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """C[s, s] = C_0[s, s] + W[s, B(s)] of sets lo:hi for every row of
@@ -133,11 +138,11 @@ class _RadiusPass:
             require_finite(spectra)
         return radii
 
-    def worst(self, x: np.ndarray) -> np.ndarray:
-        """Each row's largest radius over all sets, ``rows`` duals at a time."""
-        if len(x) > self.rows:
-            return np.concatenate([self.worst(x[i:i + self.rows]) for i in range(0, len(x), self.rows)])
-        w = self.shifts(x)
+    def worst(self, v: np.ndarray) -> np.ndarray:
+        """Each dual's largest radius over all sets, ``rows`` duals at a time."""
+        if len(v) > self.rows:
+            return np.concatenate([self.worst(v[i:i + self.rows]) for i in range(0, len(v), self.rows)])
+        w = self.shifts(v)
         radii = self.largest(self.spectra(self.blocks(w, 0, self.span)))
         for lo in range(self.span, len(self.sets), self.span):
             np.maximum(radii, self.largest(self.spectra(self.blocks(w, lo, lo + self.span))), out=radii)
@@ -151,31 +156,29 @@ def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
     ``frames.dual_from_params``; non-finite shifts are refused."""
     rp = _RadiusPass(f, r)
     require_finite(d.shifts)
-    x = params_to_vector(d.shifts)[None]
-    w = rp.shifts(x)
+    w = rp.shifts(d.shifts[None])
     spectra = np.empty(rp.sets.shape, dtype=complex)
     for lo in range(0, len(rp.sets), rp.span):
         spectra[lo:lo + rp.span] = rp.spectra(rp.blocks(w, lo, lo + rp.span))[0]
     radii = rp.largest(spectra[:, None])  # one radius per set
-    return RhoResult(float(radii.max()), rp.sets, spectra, radii, lambda: rp.blocks(w, 0, len(rp.sets))[0])
+    return RhoResult(float(radii.max()), rp.sets, spectra, radii, lambda: rp.blocks(w, 0, len(rp.sets))[0], rp.worst)
 
 
 def shifted_radii(f: Frame, r: int) -> Callable[[np.ndarray], np.ndarray]:
     """The evaluator of order-r worst radii, r in {1, 2}, of the duals
-    Psi_canonical + V B^T: it maps a B x 2mk batch of flat shift vectors
-    (``frames.vector_to_params`` layout) to their B radii, after
-    ``frames.check_shift_vectors`` has decided duality for the batch. The
-    frame's order-r pass is built once, here."""
+    Psi_canonical + V B^T: it maps a B x k x m batch of shifts V to their B
+    radii, after ``frames.check_shifts`` has decided duality for the batch.
+    The frame's order-r pass is built once, here."""
     if r not in (1, 2):
         raise ValueError(f"shifted radii cover erasure orders 1 and 2, got {r}")
     rp = _RadiusPass(f, r)
-    dim = 2 * f.layout.m * f.k
+    shape = (f.k, f.layout.m)
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != dim:
-            raise ValueError(f"expected a batch of {dim}-parameter rows, got shape {x.shape}")
-        check_shift_vectors(f, x)
-        return rp.worst(x)
+    def evaluate(v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=complex)
+        if v.ndim != 3 or v.shape[1:] != shape:
+            raise ValueError(f"expected a batch of {shape[0]} x {shape[1]} shift matrices, got shape {v.shape}")
+        check_shifts(f, v)
+        return rp.worst(v)
 
     return evaluate

@@ -15,16 +15,15 @@ frame whose rows break that fact.
 
 Every dual is the canonical dual plus one constant shift per component:
 Psi = Psi_canonical + V B^T, with V the k x m matrix of shifts and B the
-n x m component indicator, and a ``DualFrame`` carries both Psi and V. The
-canonical dual is computed once per frame (``Frame.canonical``) and every
-shifted dual is built from it by ``dual_from_params``. Each dual is checked
-once, where it is built, so code that receives a ``DualFrame`` need not
-check it again. One bound from the same structure,
-Psi Phi^H - I = E + V (Phi B)^H, decides for both ``dual_from_params`` and
-``check_shift_vectors`` (a batch of shifts given as flat vectors): a dual is
-accepted without being formed when max |V| is below a per-frame limit
-(``shift_limit``), and anything the bound cannot vouch for goes to
-``is_dual`` on the formed dual.
+n x m component indicator, so V names a dual exactly, and a ``DualFrame``
+carries both Psi and V. The canonical dual is computed once per frame
+(``Frame.canonical``) and every shifted dual is built from it by
+``dual_from_params``. Each dual is checked once, where it is built, so code
+that receives a ``DualFrame`` need not check it again. ``check_shifts`` is
+the one duality decider, for a B x k x m batch of shift matrices: from
+Psi Phi^H - I = E + V (Phi B)^H, a matrix with max |V| below a per-frame
+limit (``shift_limit``) is accepted without its dual being formed, and
+every other one goes to ``is_dual`` on the formed dual.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .linalg import ZERO_TOL, symmetric_eig
 
 DUAL_TOL = 1e-8
 EPS = float(np.finfo(float).eps)
-SQRT2 = 2.0 ** 0.5
 
 
 @dataclass(frozen=True)
@@ -231,52 +229,35 @@ def dual_from_params(f: Frame, shifts: np.ndarray) -> DualFrame:
     """Canonical dual plus one constant shift per component block: the k x m
     ``shifts`` V add column j to every dual vector of block j.
 
-    Duality is verified, not assumed: the dual is accepted without a
-    k x n x k product when max |V| is below ``shift_limit``, and otherwise
-    ``is_dual`` decides on the formed dual, so a NaN or huge shift is
-    refused there with its residual.
+    Duality is verified, not assumed, by ``check_shifts`` on a batch of one,
+    so a NaN or huge shift is refused there with its residual.
     """
     shifts = np.asarray(shifts, dtype=complex)
     if shifts.shape != (f.k, f.layout.m):
         raise ValueError(f"shifts must be {f.k} x {f.layout.m}, got {shifts.shape}")
-    dual = DualFrame(f.canonical.vectors + shifts.take(f.block, axis=1), shifts)
-    if np.abs(shifts).max() < shift_limit(f):
-        return dual
-    check = is_dual(f, dual)
-    if not check.ok:
-        raise ValueError(f"duality residual {check.residual:.3e} above {DUAL_TOL:g}")
-    return dual
+    check_shifts(f, shifts[None])
+    return _shifted(f, shifts)
 
 
-def vector_to_params(x: np.ndarray, m: int, k: int) -> np.ndarray:
-    """The k x m shifts of a flat vector [Re nu_1, Im nu_1, Re nu_2, ...] of
-    length 2*m*k, nu_j being column j."""
-    x = np.asarray(x, dtype=float)
-    if x.size != 2 * m * k:
-        raise ValueError(f"expected {2 * m * k} parameters, got {x.size}")
-    parts = x.reshape(m, 2, k)
-    return (parts[:, 0] + 1j * parts[:, 1]).T
+def _shifted(f: Frame, shifts: np.ndarray) -> DualFrame:
+    return DualFrame(f.canonical.vectors + shifts.take(f.block, axis=1), shifts)
 
 
-def params_to_vector(shifts: np.ndarray) -> np.ndarray:
-    """The flat vector of k x m shifts, the inverse of ``vector_to_params``."""
-    return np.stack([shifts.real.T, shifts.imag.T], axis=1).reshape(-1)
+def check_shifts(f: Frame, shifts: np.ndarray) -> None:
+    """Decide duality for every k x m matrix V of a B x k x m complex batch,
+    or refuse the first, in batch order, whose dual is not one.
 
-
-def check_shift_vectors(f: Frame, x: np.ndarray) -> None:
-    """Decide duality for every row of a B x 2mk batch of flat shift vectors
-    (the ``vector_to_params`` layout) without forming a dual, or refuse the
-    first row, in row order, that ``dual_from_params`` refuses.
-
-    Each |V_aj| is at most sqrt(2) max |x|, so a row is accepted when that
-    is below ``shift_limit``. Every other row, a NaN or infinite one
-    included, goes through ``dual_from_params`` itself, which keeps its
-    verdict and its message.
+    A matrix with max |V| below ``shift_limit`` is accepted without forming
+    its dual. Every other one, a NaN or infinite one included, is formed and
+    goes to ``is_dual``, which refuses it with its residual.
     """
-    accepted = np.abs(x).max(axis=1) < shift_limit(f) / SQRT2
-    if not accepted.all():
-        for row in np.flatnonzero(~accepted):
-            dual_from_params(f, vector_to_params(x[row], f.layout.m, f.k))
+    accepted = np.abs(shifts).max(axis=(1, 2)) < shift_limit(f)
+    if accepted.all():
+        return
+    for v in shifts[~accepted]:
+        check = is_dual(f, _shifted(f, v))
+        if not check.ok:
+            raise ValueError(f"duality residual {check.residual:.3e} above {DUAL_TOL:g}")
 
 
 def is_dual(f: Frame, d: DualFrame) -> DualityCheck:

@@ -84,9 +84,10 @@ class ComponentDecomposition:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: ``n <count>`` header, one ``u v`` per line.
 
-    Lines beginning with ``#`` and blank lines are ignored. Raises
-    EdgeListError on a missing header, malformed line, duplicate edge,
-    self-loop, or endpoint out of range.
+    Lines beginning with ``#`` and blank lines are ignored. Every number is
+    an ASCII decimal integer, ``-?[0-9]+``. Raises EdgeListError on a
+    missing header, malformed line, duplicate edge, self-loop, or endpoint
+    out of range.
     """
     n = None
     edges: set[tuple[int, int]] = set()
@@ -98,7 +99,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(tokens) != 2 or tokens[0] != "n":
                 raise EdgeListError(f"line {lineno}: expected header 'n <count>', got {raw!r}")
             try:
-                n = int(tokens[1])
+                n = _integer(tokens[1])
             except ValueError:
                 raise EdgeListError(f"line {lineno}: vertex count {tokens[1]!r} is not an integer") from None
             if n < 1:
@@ -107,7 +108,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(tokens) != 2:
             raise EdgeListError(f"line {lineno}: expected edge 'u v', got {raw!r}")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = _integer(tokens[0]), _integer(tokens[1])
         except ValueError:
             raise EdgeListError(f"line {lineno}: non-integer endpoint in {raw!r}") from None
         if u == v:
@@ -121,6 +122,14 @@ def parse_edge_list(text: str) -> Graph:
     if n is None:
         raise EdgeListError("missing header line 'n <count>'")
     return Graph(n, frozenset(edges))
+
+
+def _integer(token: str) -> int:
+    """``int(token)`` for an ASCII token of the form ``-?[0-9]+``, so no plus
+    sign, underscore or non-ASCII digit; ValueError otherwise."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 def laplacian(g: Graph) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .erasure import shifted_radii, worst_radius
-from .frames import DualFrame, Frame, dual_from_params, vector_to_params
+from .frames import DualFrame, Frame, dual_from_params
 from .simplex import nelder_mead
 
 RADIUS_TOL = 1e-9
@@ -89,50 +89,30 @@ def predicted_worst_radius(f: Frame, r: int) -> float:
 
 
 def alternate_optimal_dual(f: Frame, r: int) -> DualFrame:
-    """The explicit non-canonical optimal dual for a multi-component graph.
+    """An explicit non-canonical dual that ties every order-r radius of the
+    canonical dual on a multi-component graph, r in {1, 2}.
 
-    Shifts the first component's dual vectors by a vector supported outside
-    that component's own coordinate block: all ones there for order 1, a
-    single one in the first such coordinate for order 2. Requires at least
-    two components, a first component with >= 2 vertices, and some other
-    component with >= 2 vertices (otherwise there is no outside coordinate
-    and the construction would collapse onto the canonical dual).
+    When the first component and some other component each have >= 2
+    vertices, it shifts the first component's dual vectors by a vector
+    supported outside that component's own coordinate block: all ones there
+    for order 1, a single one in the first such coordinate for order 2.
+    Otherwise it shifts the first single-vertex component by all ones: that
+    component's frame vector is zero, so its dual vector never enters any
+    error operator.
     """
     if r not in (1, 2):
         raise ValueError(f"alternate construction only covers orders 1 and 2, got {r}")
-    sizes = f.layout.sizes
     if f.layout.m < 2:
         raise ValueError("single-component graph: the canonical dual is the unique optimum")
-    if sizes[0] < 2:
-        raise ValueError("first component must have at least 2 vertices")
+    sizes = f.layout.sizes
     block = sizes[0] - 1  # rows spanned by the first component
-    if block == f.k:
-        raise ValueError(
-            "degenerate construction: no other component has 2 or more vertices"
-        )
     shifts = np.zeros((f.k, f.layout.m), dtype=complex)
-    if r == 1:
+    if not 0 < block < f.k:  # no coordinate outside the first block
+        shifts[:, sizes.index(1)] = 1.0
+    elif r == 1:
         shifts[block:, 0] = 1.0
     else:
         shifts[block, 0] = 1.0
-    return dual_from_params(f, shifts)
-
-
-def singleton_shift_dual(f: Frame) -> DualFrame:
-    """Non-canonical dual obtained by shifting a single-vertex component.
-
-    Such a component's frame vector is zero, so the shifted dual vector never
-    enters any error operator: every radius ties the canonical dual exactly.
-    Used as a non-uniqueness witness when the explicit construction above is
-    degenerate.
-    """
-    sizes = f.layout.sizes
-    try:
-        j = next(i for i, s in enumerate(sizes) if s == 1)
-    except StopIteration:
-        raise ValueError("no single-vertex component to shift") from None
-    shifts = np.zeros((f.k, f.layout.m), dtype=complex)
-    shifts[:, j] = 1.0
     return dual_from_params(f, shifts)
 
 
@@ -148,14 +128,17 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
     and 1 at r = 2, which the canonical dual attains; its role is to try to
     falsify those laws, so an ``improved`` result would be a counterexample.
 
-    Seeds: the canonical point plus per-axis sweeps of the coarse grid (a
-    full Cartesian grid is hopeless at 2*m*k dimensions), then Nelder-Mead
-    refinement from the best seeds and one seeded random restart. Points
-    are evaluated in batches by ``erasure.shifted_radii``, with no dual
-    formed per point: the canonical point alone, the grid pass as one batch,
-    and Nelder-Mead's batches. A budget of 0 returns the canonical baseline
-    after its single evaluation; a nonzero budget too small for one grid
-    pass raises. The budget and the seed are checked before any evaluation.
+    Nelder-Mead works in 2*m*k real coordinates [Re nu_1, Im nu_1, Re nu_2,
+    ...], nu_j being column j of the k x m shifts V; they are read as V
+    here, once per batch, and nowhere else. Seeds: the canonical point plus
+    per-axis sweeps of the coarse grid (a full Cartesian grid is hopeless
+    at 2*m*k dimensions), then Nelder-Mead refinement from the best seeds
+    and one seeded random restart. Points are evaluated in batches by
+    ``erasure.shifted_radii``, with no dual formed per point: the canonical
+    point alone, the grid pass as one batch, and Nelder-Mead's batches. A
+    budget of 0 returns the canonical baseline after its single evaluation;
+    a nonzero budget too small for one grid pass raises. The budget and the
+    seed are checked before any evaluation.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -170,11 +153,17 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
     samples: list[tuple[np.ndarray, float]] = []
 
     evaluate = shifted_radii(f, r)
+    real = np.arange(m) * 2 * k + np.arange(k)[:, None]  # where Re V[a, j] is; Im V[a, j] is k later
+    interleaved = np.stack([real, real + k], axis=-1).reshape(-1)  # V row-major as [re, im] pairs
+
+    def shifts(x: np.ndarray) -> np.ndarray:
+        """The k x m shifts of every point of x (..., 2mk) as (..., k, m)."""
+        return x.take(interleaved, axis=-1).view(complex).reshape(*x.shape[:-1], k, m)
 
     def objective(xs: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         xs = np.array(xs, dtype=float)
-        values = evaluate(xs)
+        values = evaluate(shifts(xs))
         evaluations += len(xs)
         samples.extend(zip(xs, values.tolist()))
         return values
@@ -193,11 +182,11 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
             if len(near) >= 16:
                 break
         return SearchReport(
-            best_params=vector_to_params(best_x, m, k),
+            best_params=shifts(best_x),
             best_rho=best_rho,
             evaluations=evaluations,
             improved=best_rho < canonical_rho - IMPROVEMENT_TOL,
-            near_optima=tuple((vector_to_params(x, m, k), value) for x, value in near),
+            near_optima=tuple((shifts(x), value) for x, value in near),
         )
 
     if budget == 0:
@@ -250,7 +239,7 @@ def uniqueness_probe(f: Frame, seed: int) -> ProbeReport:
         direction = rng.normal(size=f.k) + 1j * rng.normal(size=f.k)
         direction /= np.linalg.norm(direction)
         trial[:] = np.exp(rng.uniform(np.log(lo), np.log(hi))) * direction
-    excess = shifted_radii(f, 1)(np.hstack([shifts.real, shifts.imag])) - baseline
+    excess = shifted_radii(f, 1)(shifts[:, :, None]) - baseline
     return ProbeReport(float(excess.min()), int((excess <= -PROBE_SLACK).sum()))
 
 
@@ -263,13 +252,6 @@ def _detail(claim: str, predicted: float, measured: float, tol: float) -> dict:
         "residual": residual,
         "pass": bool(residual <= tol),
     }
-
-
-def _nonuniqueness_witness(f: Frame, r: int) -> DualFrame:
-    try:
-        return alternate_optimal_dual(f, r)
-    except ValueError:
-        return singleton_shift_dual(f)
 
 
 def verify_order(f: Frame, orders: list[int], *, seed: int = 0) -> list[OptimalityReport]:
@@ -340,8 +322,8 @@ def _order_report(f: Frame, r: int, probe: ProbeReport | None) -> OptimalityRepo
         extras["probe_min_excess"] = probe.min_excess
         unique = "unique" if details[-1]["pass"] else "undetermined"
     else:
-        alternate = _nonuniqueness_witness(f, r)
-        alt_radius = worst_radius(f, alternate, r).radius
+        alternate = alternate_optimal_dual(f, r)
+        alt_radius = float(result.worst(alternate.shifts[None])[0])
         details.append(_detail(f"alternate dual ties the order-{r} radius", measured, alt_radius, RADIUS_TOL))
         distance = float(np.max(np.linalg.norm(alternate.vectors - canon.vectors, axis=0)))
         details.append(

@@ -1,11 +1,11 @@
-"""Seeded random inputs for the property and verification suites; the flat
-layout of a shift matrix (``params_to_vector``) comes from the package."""
+"""Seeded random inputs for the property and verification suites. Shifts
+are k x m complex matrices V, the one shift format of the package."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from lapframes.frames import DualFrame, Frame, params_to_vector, vector_to_params
+from lapframes.frames import DualFrame, Frame
 from lapframes.graph import Graph, components
 
 
@@ -108,6 +108,7 @@ def rotated(f: Frame, d: DualFrame, u: np.ndarray) -> tuple[Frame, DualFrame]:
 
 def random_dual_params(f: Frame, rng: np.random.Generator, scale: float = 10.0) -> np.ndarray:
     """k x m shifts with real and imaginary parts uniform in [-scale, scale],
-    drawn in ``params_to_vector`` order."""
-    m, k = f.layout.m, f.k
-    return vector_to_params(rng.uniform(-scale, scale, 2 * m * k), m, k)
+    drawn column by column, each column's real parts before its imaginary
+    parts."""
+    re, im = rng.uniform(-scale, scale, (f.layout.m, 2, f.k)).transpose(1, 2, 0)
+    return re + 1j * im

@@ -25,7 +25,6 @@ from lapframes.reproduce import EXPECTED_RADII, LAPLACIAN_5
 from conftest import K3_TEXT, K3K2_TEXT, K4_TEXT, assert_multiset_close, complex_of
 from oracles import block_laplacian, cross_gramian_radius, error_operator
 from sampling import (
-    params_to_vector,
     random_connected_graph,
     random_disconnected_graph,
     random_dual_params,
@@ -194,7 +193,7 @@ def test_criterion_9_search_non_improvement():
         report = search_optimal_dual(k3k2, r)
         assert not report.improved
         assert abs(report.best_rho - targets[r]) <= 1e-6
-        points = [params_to_vector(p) for p, _ in report.near_optima]
+        points = [p for p, _ in report.near_optima]
         if r == 1:  # non-uniqueness evidence: at least two separated optima
             assert len(points) >= 2
         assert all(

@@ -18,7 +18,7 @@ from lapframes import (
 )
 from lapframes.cli import set_reports
 from lapframes.erasure import TIE_TOL, EnumerationCapError
-from lapframes.frames import DualFrame, vector_to_params
+from lapframes.frames import DualFrame
 from lapframes.graph import Graph
 from lapframes.reproduce import (
     CANONICAL_OPERATORS,
@@ -31,7 +31,6 @@ from lapframes.reproduce import (
 from conftest import EDGE_TEXT, K3K2_TEXT, assert_multiset_close, complex_of
 from oracles import cross_gramian_radius, error_operator, reduced_matrix
 from sampling import (
-    params_to_vector,
     random_connected_graph,
     random_disconnected_graph,
     random_dual_params,
@@ -387,10 +386,9 @@ def test_worst_radius_memory_stays_flat_across_chunks():
     assert peak < 24 * 2**20
 
 
-def _radii_oracle(f, x, r):
-    """The radius of each row's formed dual, one n x n pass per row."""
-    m, k = f.layout.m, f.k
-    return np.array([cross_gramian_radius(f, dual_from_params(f, vector_to_params(row, m, k)), r) for row in x])
+def _radii_oracle(f, shifts, r):
+    """The radius of each shift matrix's formed dual, one n x n pass each."""
+    return np.array([cross_gramian_radius(f, dual_from_params(f, v), r) for v in shifts])
 
 
 def _message(call):
@@ -410,15 +408,15 @@ def test_shifted_radii_match_worst_radius(monkeypatch, graph, r, chunk):
     rng = np.random.default_rng(83)
     text = {"connected": None, "k3k2": K3K2_TEXT, "singleton": "n 6\n1 2\n1 3\n2 3\n4 5\n"}[graph]
     f = frame_from_graph(random_connected_graph(rng, (8, 9)) if text is None else parse_edge_list(text))
-    dim = 2 * f.layout.m * f.k
-    x = rng.uniform(-1, 1, (30, dim)) * 10.0 ** rng.uniform(-3, 2, (30, 1))
-    x[0] = 0.0  # the canonical dual
+    shape = (30, f.k, f.layout.m)
+    v = (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)) * 10.0 ** rng.uniform(-3, 2, (30, 1, 1))
+    v[0] = 0.0  # the canonical dual
     evaluate = erasure.shifted_radii(f, r)
-    want = _radii_oracle(f, x, r)
-    got = evaluate(x)
+    want = _radii_oracle(f, v, r)
+    got = evaluate(v)
     assert got.shape == (30,)
     assert np.all(np.abs(got - want) <= 1e-12 * want)
-    single = np.array([evaluate(row[None])[0] for row in x[:5]])
+    single = np.array([evaluate(one[None])[0] for one in v[:5]])
     assert np.all(np.abs(single - want[:5]) <= 1e-12 * want[:5])
 
 
@@ -433,24 +431,24 @@ def test_shifted_radii_refuse_each_row_as_dual_from_params(text, shifts, message
     shifts = np.array(shifts, dtype=complex)
     assert _message(lambda: dual_from_params(f, shifts)) == message
     rng = np.random.default_rng(89)
-    good = params_to_vector(random_dual_params(f, rng, scale=1.0))
-    x = np.stack([good, params_to_vector(shifts), good])  # the row under test in the middle
+    good = random_dual_params(f, rng, scale=1.0)
+    v = np.stack([good, shifts, good])  # the matrix under test in the middle
     evaluate = erasure.shifted_radii(f, 1)
-    assert _message(lambda: evaluate(x[1:2])) == message
-    assert _message(lambda: evaluate(x)) == message
+    assert _message(lambda: evaluate(v[1:2])) == message
+    assert _message(lambda: evaluate(v)) == message
     if message is None:
-        assert np.all(np.abs(evaluate(x) - _radii_oracle(f, x, 1)) <= 1e-12 * _radii_oracle(f, x, 1))
+        assert np.all(np.abs(evaluate(v) - _radii_oracle(f, v, 1)) <= 1e-12 * _radii_oracle(f, v, 1))
 
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_shifted_radii_refuse_nonfinite_entries(monkeypatch, k3k2_frame, r):
     # the duality check refuses every non-finite row first; without it, the
     # radius pass still refuses, as worst_radius does
-    monkeypatch.setattr(erasure, "check_shift_vectors", lambda f, x: None)
-    x = np.zeros((3, 2 * k3k2_frame.layout.m * k3k2_frame.k))
-    x[1, 0] = np.nan
+    monkeypatch.setattr(erasure, "check_shifts", lambda f, v: None)
+    v = np.zeros((3, k3k2_frame.k, k3k2_frame.layout.m), dtype=complex)
+    v[1, 0, 0] = np.nan
     with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-        erasure.shifted_radii(k3k2_frame, r)(x)
+        erasure.shifted_radii(k3k2_frame, r)(v)
 
 
 def test_shifted_radii_validate_order_and_shape(k3k2_frame, edge_frame):
@@ -458,8 +456,9 @@ def test_shifted_radii_validate_order_and_shape(k3k2_frame, edge_frame):
         erasure.shifted_radii(k3k2_frame, 3)
     with pytest.raises(ValueError, match="outside"):
         erasure.shifted_radii(edge_frame, 2)
-    with pytest.raises(ValueError, match="12-parameter rows"):
-        erasure.shifted_radii(k3k2_frame, 1)(np.zeros((2, 11)))
+    for shape in ((2, 3, 1), (2, 2, 2), (2, 12), (3, 2)):
+        with pytest.raises(ValueError, match=r"batch of 3 x 2 shift matrices"):
+            erasure.shifted_radii(k3k2_frame, 1)(np.zeros(shape))
 
 
 def _graph_of_sizes(sizes, rng, shuffle):

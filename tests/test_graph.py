@@ -63,6 +63,31 @@ def test_parse_errors(text, fragment):
         parse_edge_list(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 1_2\n1 2", "line 1: vertex count '1_2' is not an integer"),
+        ("n +3\n1 2", "line 1: vertex count '+3' is not an integer"),
+        ("n \u0663\n1 2", "line 1: vertex count '\u0663' is not an integer"),
+        ("n 3\n1_1 2", "line 2: non-integer endpoint in '1_1 2'"),
+        ("n 3\n+3 \u0663", "line 2: non-integer endpoint in '+3 \u0663'"),
+        ("n 3\n1 \u00b2", "line 2: non-integer endpoint in '1 \u00b2'"),
+        ("n 3\n1 --2", "line 2: non-integer endpoint in '1 --2'"),
+        ("n -3", "line 1: vertex count must be positive, got -3"),
+        ("n 3\n-1 2", "line 2: endpoint out of range in (-1, 2), n=3"),
+        ("n 03\n1 04", "line 2: endpoint out of range in (1, 4), n=3"),
+    ],
+    ids=["count-underscore", "count-plus", "count-arabic-indic", "endpoint-underscore",
+         "endpoints-plus-arabic-indic", "endpoint-superscript", "endpoint-double-minus",
+         "count-negative", "endpoint-negative", "leading-zeros"],
+)
+def test_parse_reads_only_ascii_integers(text, message):
+    # int() alone would read '1_2' as 12, '+3' as 3 and the Arabic-Indic '\u0663' as 3
+    with pytest.raises(EdgeListError) as excinfo:
+        parse_edge_list(text)
+    assert str(excinfo.value) == message
+
+
 def test_laplacian_fixture_matches_reference():
     assert np.array_equal(laplacian(parse_edge_list(K3K2_TEXT)), K3K2_LAPLACIAN)
 

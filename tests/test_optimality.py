@@ -10,18 +10,16 @@ from lapframes import (
     parse_edge_list,
     predicted_worst_radius,
     search_optimal_dual,
-    singleton_shift_dual,
     uniqueness_probe,
     verify_order,
     worst_radius,
 )
 from lapframes import erasure, frames, optimality
-from lapframes.frames import vector_to_params
 from lapframes.graph import Graph
 
+from conftest import K3K2_TEXT, K4_TEXT
 from oracles import cross_gramian_radius, reduced_matrix
 from sampling import (
-    params_to_vector,
     random_connected_graph,
     random_disconnected_graph,
     random_dual_params,
@@ -68,21 +66,24 @@ def test_alternate_dual_rejects_connected(k3_frame):
         alternate_optimal_dual(k3_frame, 1)
 
 
-def test_alternate_dual_rejects_degenerate_cases():
-    k3_plus_isolated = frame_from_graph(parse_edge_list("n 4\n1 2\n1 3\n2 3\n"))
-    with pytest.raises(ValueError, match="degenerate"):
-        alternate_optimal_dual(k3_plus_isolated, 1)
-    isolated_first = frame_from_graph(parse_edge_list("n 4\n2 3\n2 4\n3 4\n"))
-    with pytest.raises(ValueError, match="first component"):
-        alternate_optimal_dual(isolated_first, 1)
+@pytest.mark.parametrize("text, singleton", [
+    ("n 4\n1 2\n1 3\n2 3\n", 1),  # K3 plus a vertex: no other block has rows
+    ("n 4\n2 3\n2 4\n3 4\n", 0),  # the first component is the single vertex
+], ids=["k3-plus-vertex", "vertex-first"])
+def test_alternate_dual_falls_back_to_a_singleton_shift(text, singleton):
+    f = frame_from_graph(parse_edge_list(text))
+    expected = np.zeros((f.k, 2))
+    expected[:, singleton] = 1.0
+    for r in (1, 2):
+        assert np.array_equal(alternate_optimal_dual(f, r).shifts, expected)
     with pytest.raises(ValueError, match="orders 1 and 2"):
-        alternate_optimal_dual(k3_plus_isolated, 3)
+        alternate_optimal_dual(f, 3)
 
 
 def test_singleton_shift_ties_all_radii():
     f = frame_from_graph(parse_edge_list("n 4\n1 2\n1 3\n2 3\n"))
     canon = canonical_dual(f)
-    alt = singleton_shift_dual(f)
+    alt = alternate_optimal_dual(f, 1)
     assert np.max(np.abs(alt.vectors - canon.vectors)) >= 1e-3
     for r in (1, 2, 3):
         a = worst_radius(f, canon, r).radius
@@ -101,22 +102,11 @@ def test_uniqueness_probe_rejects_disconnected(k3k2_frame):
         uniqueness_probe(k3k2_frame, seed=0)
 
 
-def test_params_vector_round_trip():
-    shifts = np.stack(
-        [np.array([1 + 2j, 3.0, -1j]), np.array([0.5, -0.25j, 2 - 2j])], axis=1
-    )
-    x = params_to_vector(shifts)
-    # [Re nu_1, Im nu_1, Re nu_2, Im nu_2]
-    assert np.array_equal(x, [1, 3, 0, 2, 0, -1, 0.5, 0, 2, 0, -0.25, -2])
-    back = vector_to_params(x, 2, 3)
-    assert np.array_equal(back, shifts)
-
-
 def test_search_connected_no_improvement(k3_frame):
     report = search_optimal_dual(k3_frame, 1)
     assert not report.improved
     assert abs(report.best_rho - 2 / 3) <= 1e-6
-    assert np.linalg.norm(params_to_vector(report.best_params)) <= 1e-3
+    assert np.linalg.norm(report.best_params) <= 1e-3
     assert len(report.near_optima) == 1  # origin only: the optimum is unique
 
 
@@ -125,7 +115,7 @@ def test_search_disconnected_finds_ties(k3k2_frame):
     assert not report.improved
     assert abs(report.best_rho - 2 / 3) <= 1e-6
     assert len(report.near_optima) >= 2
-    vectors = [params_to_vector(p) for p, _ in report.near_optima]
+    vectors = [p for p, _ in report.near_optima]
     assert all(
         np.linalg.norm(vectors[i] - vectors[j]) >= 1e-2
         for i in range(len(vectors))
@@ -174,8 +164,8 @@ def test_search_checks_each_dual_once(monkeypatch, k3k2_frame):
     # every point once, and shifts of the search's scale never need
     # dual_from_params or is_dual
     rows, built, checks = [], [], []
-    decide, build, check = frames.check_shift_vectors, frames.dual_from_params, frames.is_dual
-    monkeypatch.setattr(erasure, "check_shift_vectors", lambda f, x: rows.append(len(x)) or decide(f, x))
+    decide, build, check = frames.check_shifts, frames.dual_from_params, frames.is_dual
+    monkeypatch.setattr(erasure, "check_shifts", lambda f, v: rows.append(len(v)) or decide(f, v))
     monkeypatch.setattr(frames, "dual_from_params", lambda f, v: built.append(v) or build(f, v))
     monkeypatch.setattr(frames, "is_dual", lambda f, d: checks.append(d) or check(f, d))
     assert k3k2_frame.canonical is not None and len(checks) == 0
@@ -183,6 +173,20 @@ def test_search_checks_each_dual_once(monkeypatch, k3k2_frame):
     assert sum(rows) == report.evaluations > 1
     assert len(rows) < report.evaluations / 2  # most points come in batches
     assert built == [] and checks == []
+
+
+@pytest.mark.parametrize("text, r, evaluations, best_rho", [
+    (K3K2_TEXT, 1, 2033, 0.6666666666666666),
+    (K3K2_TEXT, 2, 283, 1.0),
+    (K4_TEXT, 1, 1754, 0.7500000000000001),
+    (K4_TEXT, 2, 139, 1.0),
+], ids=["k3k2-1", "k3k2-2", "k4-1", "k4-2"])
+def test_search_trajectory_is_pinned(text, r, evaluations, best_rho):
+    """The search's exact path, so a change to its evaluator cannot move it
+    unnoticed. A change that the ROADMAP's search gate allows to move it
+    re-pins these values and lists the move in CHANGES.md."""
+    report = search_optimal_dual(frame_from_graph(parse_edge_list(text)), r)
+    assert (report.evaluations, report.best_rho, report.improved) == (evaluations, best_rho, False)
 
 
 @pytest.mark.parametrize("frame, r", [("k3k2_frame", 1), ("k3_frame", 2)])
@@ -298,6 +302,21 @@ def test_verify_order_disconnected(k3k2_frame):
     for rep in verify_order(k3k2_frame, [1, 2]):
         assert rep.canonical_optimal and rep.unique == "non-unique" and rep.all_pass
         assert len(rep.witnesses) == 2
+
+
+def test_verify_order_builds_one_radius_pass_per_order(monkeypatch, k3k2_frame):
+    # the alternate witness's radius comes from the canonical dual's pass
+    calls = []
+    build = erasure._RadiusPass.__init__
+
+    def counted(self, f, r):
+        calls.append(r)
+        build(self, f, r)
+
+    monkeypatch.setattr(erasure._RadiusPass, "__init__", counted)
+    reports = verify_order(k3k2_frame, [1, 2])
+    assert all(rep.unique == "non-unique" and rep.all_pass for rep in reports)
+    assert calls == [1, 2]
 
 
 def test_verify_order_degenerate_disconnected_uses_singleton_witness():
