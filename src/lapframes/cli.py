@@ -4,11 +4,16 @@ Subcommands: build, dual, rho, verify, search, reproduce. All reports are
 JSON on standard output (or --output <path>) with a top-level schema field;
 their numbers reach the writer as ndarrays (complex ones as [re, im] pairs
 from ``frames.pairs``), and ``rho -v``'s per-set reports are formatted here
-from the arrays of the radius pass. One writer, ``dumps``, produces the
-bytes of ``json.dumps(payload, indent=2)``, where an array stands for its
-``tolist()``: each array is one flat encode by json's C encoder joined with
-the separators of the indent layout, since with an indent json itself would
-run its pure-Python encoder.
+from the arrays of the radius pass, a chunk of sets at a time. One
+streaming writer, the generator ``_pieces``, yields the text of
+``json.dumps(payload, indent=2)`` in order, where an array stands for its
+``tolist()`` and an iterator for a list: each array is written in pieces of
+whole rows, each piece one flat encode of a bounded count of numbers by
+json's C encoder joined with the separators of the indent layout (with an
+indent json itself would run its pure-Python encoder). ``_write`` gathers
+the pieces into blocks of bounded size and writes each, so no report is
+held whole in memory; ``dumps`` joins them for a caller that wants a
+string.
 
 Exit codes: 0 success or all checks passed, 1 a verification check failed,
 2 usage or input error, 3 internal or resource failure. Every refusal in
@@ -16,7 +21,8 @@ the package is a ``ValueError`` (an unreadable or undecodable input file,
 an unwritable output path or stdout and more erasure sets than the
 enumeration cap included), and ``main`` alone maps exceptions to exit
 codes: a ``ValueError`` to 2, any other exception (a ``ConvergenceError``,
-a ``MemoryError``) to 3, each as one line on stderr.
+a ``MemoryError``) to 3, each as one line on stderr. An exception raised
+while a report is written leaves the part written before it.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +51,9 @@ from .frames import (
 )
 from .graph import parse_edge_list
 from .optimality import SEARCH_BUDGET, search_optimal_dual, verify_order
+
+ENCODE_NUMBERS = 1 << 13  # numbers per flat encode of an array and per chunk of rho -v's spectra
+BLOCK_CHARS = 1 << 16  # characters gathered per write
 
 
 def _load_frame(path: str) -> Frame:
@@ -85,40 +97,50 @@ def _load_dual(path: str, frame: Frame) -> DualFrame:
     return dual_from_params(frame, np.array(columns, dtype=complex).T)
 
 
-def set_reports(result: RhoResult, k: int) -> list[dict]:
+def set_reports(result: RhoResult, k: int) -> Iterator[dict]:
     """``rho -v``'s report for every set of a radius pass, in its
     lexicographic order: the 1-based set, its radius, its spectrum sorted by
     magnitude (stable) and padded with zeros or cut to k entries (the
     surplus of r > k being structural zeros of a rank <= k operator), and
-    its r x r matrix C[s, s], formed again by the pass."""
-    sets, spectra = result.sets, result.spectra
-    by_mag = np.take_along_axis(spectra, np.argsort(-np.abs(spectra), axis=1, kind="stable"), axis=1)
-    eigenvalues = np.zeros((len(sets), k), dtype=complex)
-    eigenvalues[:, :min(k, sets.shape[1])] = by_mag[:, :k]
-    reduced = result.blocks()
-    return [
-        {"lambda": lam, "radius": radius, "eigenvalues": eigs, "reduced": mat}
+    its r x r matrix C[s, s], formed again by the pass. The spectra are
+    sorted, padded and paired a chunk of sets at a time, about
+    ``ENCODE_NUMBERS`` numbers, so no N x k array is held."""
+    sets, spectra, reduced = result.sets, result.spectra, result.blocks()
+    span = max(1, ENCODE_NUMBERS // (2 * k))
+    for lo in range(0, len(sets), span):
+        chunk = spectra[lo:lo + span]
+        by_mag = np.take_along_axis(chunk, np.argsort(-np.abs(chunk), axis=1, kind="stable"), axis=1)
+        eigenvalues = np.zeros((len(chunk), k), dtype=complex)
+        eigenvalues[:, :min(k, sets.shape[1])] = by_mag[:, :k]
         for lam, radius, eigs, mat in zip(
-            (sets + 1).tolist(), np.max(np.abs(spectra), axis=1).tolist(), pairs(eigenvalues), pairs(reduced)
-        )
-    ]
+            (sets[lo:lo + span] + 1).tolist(), np.max(np.abs(chunk), axis=1).tolist(),
+            pairs(eigenvalues), pairs(reduced[lo:lo + span]),
+        ):
+            yield {"lambda": lam, "radius": radius, "eigenvalues": eigs, "reduced": mat}
 
 
-def _write(text: str, output: str | None) -> None:
-    """Write ``text`` and a newline to ``output``, or to stdout, flushed here
-    so that a failed write (a closed pipe, a full disk) is refused like an
-    unwritable ``--output`` rather than left for interpreter shutdown. The
-    stdout buffer keeps the bytes it could not write, and shutdown would
-    flush them again (exit 120), so a failed stdout is pointed at the null
-    device before the error is raised."""
+def _write(pieces: Iterable[str], output: str | None) -> None:
+    """Write ``pieces`` and a newline to ``output``, or to stdout, gathered
+    into blocks of about ``BLOCK_CHARS`` characters (an unbuffered stdout
+    makes a system call of every write), flushed here so that a failed write (a
+    closed pipe, a full disk) is refused like an unwritable ``--output``
+    rather than left for interpreter shutdown. The stdout buffer keeps the
+    bytes it could not write, and shutdown would flush them again (exit
+    120), so a failed stdout is pointed at the null device before the error
+    is raised. An exception raised while the pieces are formed leaves what
+    was written before it."""
     try:
-        if output:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)  # then the newline: no second copy of a large document
-                fh.write("\n")
-        else:
-            print(text)
-            sys.stdout.flush()
+        # stdout is looked up here, since a caller may have replaced it
+        with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as stream:
+            block, size = [], 0
+            for piece in chain(pieces, ("\n",)):
+                block.append(piece)
+                size += len(piece)
+                if size >= BLOCK_CHARS:
+                    stream.write("".join(block))
+                    block, size = [], 0
+            stream.write("".join(block))
+            stream.flush()
     except OSError as exc:
         if not output:
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -127,54 +149,72 @@ def _write(text: str, output: str | None) -> None:
         raise ValueError(f"cannot write {output or 'stdout'}: {exc}") from exc
 
 
-def _array_text(a: np.ndarray, level: int) -> str:
+def _array_pieces(a: np.ndarray, level: int) -> Iterator[str]:
     """``json.dumps(a.tolist(), indent=2)`` at ``level`` for a numeric array
-    of ndim >= 1 with no zero-size axis: one flat encode split into leaf
-    tokens (number text holds no ", ") joined with the layout's separators;
-    the one after a leaf that ends c axes closes and reopens c brackets."""
+    of ndim >= 1 with no zero-size axis, in pieces of whole rows: each piece
+    is one flat encode of as many rows as fit in ``ENCODE_NUMBERS`` numbers
+    (at least one) split into leaf tokens (number text holds no ", ") joined
+    with the layout's separators; the one after a leaf that ends c axes
+    closes and reopens c brackets."""
     d = a.ndim
     pad = ["\n" + "  " * (level + j) for j in range(d + 1)]
     closers = [pad[j] + "]" for j in range(d - 1, -1, -1)]  # deepest first
     openers = [pad[j] + "[" for j in range(d)]
     seps = ["".join(closers[:c]) + "," + "".join(openers[d - c:]) + pad[d] for c in range(d)]
     seps.append("".join(closers))
-    after = [seps[0]]
-    for c, size in enumerate(reversed(a.shape), 1):
-        after *= size
-        after[-1] = seps[c]
-    parts = [""] * (2 * a.size)
-    parts[::2] = json.dumps(a.ravel().tolist())[1:-1].split(", ")
-    parts[1::2] = after
-    return "[" + "".join(openers[1:]) + pad[d] + "".join(parts)
+    row = [seps[0]]  # the separators after the leaves of one row
+    for c, size in enumerate(reversed(a.shape[1:]), 1):
+        row *= size
+        row[-1] = seps[c]
+    step = max(1, ENCODE_NUMBERS // len(row))  # rows per encode
+    yield "[" + "".join(openers[1:]) + pad[d]
+    for lo in range(0, len(a), step):
+        rows = a[lo:lo + step]
+        parts = [""] * (2 * rows.size)
+        parts[::2] = json.dumps(rows.ravel().tolist())[1:-1].split(", ")
+        parts[1::2] = row * len(rows)
+        if lo + step >= len(a):
+            parts[-1] = seps[d]
+        yield "".join(parts)
 
 
-def dumps(o, level: int = 0) -> str:
-    """``json.dumps(o, indent=2)`` byte for byte, for dicts with str keys,
-    lists, tuples and JSON scalars, where an ndarray stands for its
-    ``tolist()``. A numeric array with no zero-size axis is written by
-    ``_array_text`` with one flat encode; everything else is walked the way
+def _pieces(o, level: int = 0) -> Iterator[str]:
+    """The text of ``json.dumps(o, indent=2)``, in order, for dicts with str
+    keys, lists, tuples, iterators (as lists) and JSON scalars, where an
+    ndarray stands for its ``tolist()``. A numeric array with no zero-size
+    axis is written by ``_array_pieces``; everything else is walked the way
     the indent encoder walks it, with each scalar and key written by
     ``json.dumps`` itself (so NaN, Infinity, -0.0 and escapes are json's)."""
     if isinstance(o, np.ndarray):
         if o.size and o.ndim and o.dtype.kind in "biuf":
-            return _array_text(o, level)
+            yield from _array_pieces(o, level)
+            return
         o = o.tolist()
     if isinstance(o, dict):
-        items = [json.dumps(key) + ": " + dumps(value, level + 1) for key, value in o.items()]
+        items = ((json.dumps(key) + ": ", value) for key, value in o.items())
         brackets = "{}"
-    elif isinstance(o, (list, tuple)):
-        items = [dumps(value, level + 1) for value in o]
+    elif isinstance(o, (list, tuple, Iterator)):
+        items = (("", value) for value in o)
         brackets = "[]"
     else:
-        return json.dumps(o)
-    if not items:
-        return brackets
+        yield json.dumps(o)
+        return
     pad = "\n" + "  " * (level + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+    sep, end = brackets[0] + pad, brackets
+    for key, value in items:
+        yield sep + key
+        yield from _pieces(value, level + 1)
+        sep, end = "," + pad, "\n" + "  " * level + brackets[1]
+    yield end
+
+
+def dumps(o) -> str:
+    """``json.dumps(o, indent=2)`` byte for byte, as ``_pieces`` writes it."""
+    return "".join(_pieces(o))
 
 
 def _emit(payload: dict, output: str | None) -> None:
-    _write(dumps(payload), output)
+    _write(_pieces(payload), output)
 
 
 def _frame_summary(frame: Frame) -> dict:
@@ -288,7 +328,7 @@ def cmd_reproduce(args) -> int:
             verdict = "PASS" if c["pass"] else "FAIL"
             lines.append(f"{c['name'].ljust(width)}  {c['residual']:.3e}  {c['tol']:.1e}  {verdict}")
         lines.append("all checks passed" if report["all_pass"] else "SOME CHECKS FAILED")
-        _write("\n".join(lines), args.output)
+        _write(["\n".join(lines)], args.output)
     return 0 if report["all_pass"] else 1
 
 

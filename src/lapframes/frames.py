@@ -272,7 +272,7 @@ def is_dual(f: Frame, d: DualFrame) -> DualityCheck:
 
 
 def pairs(a: np.ndarray) -> np.ndarray:
-    """The JSON form of a complex array for ``cli.dumps``: a float array with
+    """The JSON form of a complex array for the cli writer: a float array with
     one more axis, each entry an [re, im] pair (``tolist()`` for json)."""
     return np.stack((a.real, a.imag), -1)
 
@@ -288,7 +288,7 @@ def _doc(f: Frame, matrix: np.ndarray) -> dict:
 
 
 def frame_to_doc(f: Frame) -> dict:
-    """The document for ``cli.dumps``; synthesis is row-major [re, im] pairs."""
+    """The document for the cli writer; synthesis is row-major [re, im] pairs."""
     return _doc(f, f.synthesis)
 
 

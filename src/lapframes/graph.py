@@ -8,11 +8,15 @@ boundary.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
 import numpy as np
+
+
+_MAX_DIGITS = sys.int_info.str_digits_check_threshold  # 640: int() converts this many under any limit
 
 
 class EdgeListError(ValueError):
@@ -86,8 +90,9 @@ def parse_edge_list(text: str) -> Graph:
 
     Lines beginning with ``#`` and blank lines are ignored. Every number is
     an ASCII decimal integer, ``-?[0-9]+``. Raises EdgeListError on a
-    missing header, malformed line, duplicate edge, self-loop, or endpoint
-    out of range.
+    missing header, malformed line, duplicate edge, self-loop, endpoint out
+    of range, or count or endpoint past +-``sys.maxsize`` (echoed as a
+    prefix).
     """
     n = None
     edges: set[tuple[int, int]] = set()
@@ -102,6 +107,8 @@ def parse_edge_list(text: str) -> Graph:
                 n = _integer(tokens[1])
             except ValueError:
                 raise EdgeListError(f"line {lineno}: vertex count {tokens[1]!r} is not an integer") from None
+            except OverflowError as exc:
+                raise EdgeListError(f"line {lineno}: vertex count {exc} is out of range") from None
             if n < 1:
                 raise EdgeListError(f"line {lineno}: vertex count must be positive, got {n}")
             continue
@@ -111,6 +118,8 @@ def parse_edge_list(text: str) -> Graph:
             u, v = _integer(tokens[0]), _integer(tokens[1])
         except ValueError:
             raise EdgeListError(f"line {lineno}: non-integer endpoint in {raw!r}") from None
+        except OverflowError as exc:
+            raise EdgeListError(f"line {lineno}: endpoint {exc} out of range, n={n}") from None
         if u == v:
             raise EdgeListError(f"line {lineno}: self-loop at vertex {u}")
         if not (1 <= u <= n and 1 <= v <= n):
@@ -126,10 +135,20 @@ def parse_edge_list(text: str) -> Graph:
 
 def _integer(token: str) -> int:
     """``int(token)`` for an ASCII token of the form ``-?[0-9]+``, so no plus
-    sign, underscore or non-ASCII digit; ValueError otherwise."""
+    sign, underscore or non-ASCII digit; ValueError otherwise. OverflowError
+    for a value past +-``sys.maxsize``, which no vertex count or endpoint
+    can reach, or a token longer than ``_MAX_DIGITS``, which ``int`` may
+    refuse to convert; its message is the token as ``_shown``."""
     if not (token.isascii() and token.removeprefix("-").isdigit()):
         raise ValueError(f"not an integer: {token!r}")
-    return int(token)
+    if len(token) > _MAX_DIGITS or abs(value := int(token)) > sys.maxsize:
+        raise OverflowError(_shown(token))
+    return value
+
+
+def _shown(token: str) -> str:
+    """``repr(token)``, cut to its first 12 characters and its length past 16."""
+    return repr(token) if len(token) <= 16 else f"'{token[:12]}...' ({len(token)} characters)"
 
 
 def laplacian(g: Graph) -> np.ndarray:

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -286,6 +289,18 @@ def test_input_failures_exit_2(capsys, tmp_path, monkeypatch, graph, params, arg
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("n " + "1" * 5000 + "\n1 2\n", 1),
+    ("n 3\n1 2\n" + "3" * 5000 + " 1\n", 3),
+], ids=["count", "endpoint"])
+def test_build_huge_integer_exits_2(capsys, tmp_path, text, line):
+    (tmp_path / "g.el").write_text(text)
+    code, out, err = run(capsys, "build", str(tmp_path / "g.el"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {line}: ") and "out of range" in err
+    assert err.count("\n") == 1 and len(err) < 100
+
+
 @pytest.mark.parametrize("r", ["1", "2"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_rho_refuses_a_nonfinite_hand_built_dual(capsys, k3k2_file, psi1_params_file, monkeypatch, bad, r):
@@ -393,18 +408,37 @@ def _closed_pipe():
     return write
 
 
-@pytest.mark.parametrize("target, command, reason", [
-    (_closed_pipe, ["rho", "edge.el", "-r", "1"], "[Errno 32] Broken pipe"),
-    pytest.param(lambda: os.open("/dev/full", os.O_WRONLY), ["reproduce"], "[Errno 28] No space left on device",
-                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
-], ids=["closed-pipe", "full-device"])
-def test_python_m_unwritable_stdout_exits_2(tmp_path, monkeypatch, target, command, reason):
+def _full_device():
+    return os.open("/dev/full", os.O_WRONLY)
+
+
+_PIPE = "[Errno 32] Broken pipe"
+_FULL = "[Errno 28] No space left on device"
+_needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+_PATH_TEXT = "n 80\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 80))  # build writes about 330 KB
+
+
+@pytest.mark.parametrize("target, command, reason, unbuffered", [
+    (_closed_pipe, ["rho", "edge.el", "-r", "1"], _PIPE, False),
+    pytest.param(_full_device, ["reproduce"], _FULL, False, marks=_needs_dev_full),
+    (_closed_pipe, ["build", "path.el"], _PIPE, False),
+    (_closed_pipe, ["build", "path.el"], _PIPE, True),
+    pytest.param(_full_device, ["build", "path.el"], _FULL, False, marks=_needs_dev_full),
+    pytest.param(_full_device, ["build", "path.el"], _FULL, True, marks=_needs_dev_full),
+], ids=["closed-pipe", "full-device", "closed-pipe-build", "closed-pipe-build-unbuffered",
+        "full-device-build", "full-device-build-unbuffered"])
+def test_python_m_unwritable_stdout_exits_2(tmp_path, monkeypatch, target, command, reason, unbuffered):
     # a report that cannot reach stdout is refused like an unwritable
-    # --output: one error line, and nothing left for interpreter shutdown
-    # (run buffered, as stdout is by default, so the unwritten bytes stay
-    # in the buffer after the failed flush)
-    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    # --output: one error line, and nothing left for interpreter shutdown.
+    # Buffered, the unwritten bytes stay in the buffer after the failed
+    # write; unbuffered, every block is its own write. The build report
+    # spans several write blocks, so the failure comes mid-stream.
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     (tmp_path / "edge.el").write_text(EDGE_TEXT)
+    (tmp_path / "path.el").write_text(_PATH_TEXT)
     fd = target()
     try:
         done = _python_m(*command, cwd=tmp_path, stdout=fd)
@@ -412,6 +446,19 @@ def test_python_m_unwritable_stdout_exits_2(tmp_path, monkeypatch, target, comma
         os.close(fd)
     assert done.returncode == 2
     assert done.stderr == f"error: cannot write stdout: {reason}\n"
+
+
+def test_build_report_spans_several_write_blocks(tmp_path):
+    (tmp_path / "path.el").write_text(_PATH_TEXT)
+    assert main(["build", str(tmp_path / "path.el"), "--output", str(tmp_path / "out.json")]) == 0
+    assert (tmp_path / "out.json").stat().st_size > 4 * cli.BLOCK_CHARS
+
+
+@_needs_dev_full
+def test_output_to_full_device_exits_2(capsys, tmp_path):
+    (tmp_path / "path.el").write_text(_PATH_TEXT)
+    code, out, err = run(capsys, "build", str(tmp_path / "path.el"), "--output", "/dev/full")
+    assert (code, out, err) == (2, "", f"error: cannot write /dev/full: {_FULL}\n")
 
 
 @pytest.mark.parametrize("command", [["dual", "edge.el"], ["rho", "edge.el", "-r", "1"]])
@@ -619,12 +666,32 @@ _DOCUMENTS = st.recursive(
 )
 
 
+# the writer's sizes: tiny ones put every chunk and block boundary inside
+# arrays, rows and nested lists
+_SIZES = st.sampled_from([1, 2, 3, None])
+
+
+def _streamed(make_doc, encode, block):
+    """``dumps`` of a document and ``_emit``'s stdout for another copy of
+    it, with ``ENCODE_NUMBERS`` and ``BLOCK_CHARS`` set (None: as they are)."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in (("ENCODE_NUMBERS", encode), ("BLOCK_CHARS", block)):
+            if value is not None:
+                mp.setattr(cli, name, value)
+        text = cli.dumps(make_doc())
+        with contextlib.redirect_stdout(out):
+            cli._emit(make_doc(), None)
+    return text, out.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
-@given(_DOCUMENTS)
-def test_writer_matches_json_indent_2(doc):
+@given(_DOCUMENTS, _SIZES, _SIZES)
+def test_writer_matches_json_indent_2(doc, encode, block):
     # ragged, empty, mixed-depth and nested-empty lists, tuples, escapes,
     # NaN, +-Infinity, -0.0, subnormals, ints past 2**63, booleans, null
-    assert cli.dumps(doc) == json.dumps(doc, indent=2)
+    expected = json.dumps(doc, indent=2)
+    assert _streamed(lambda: doc, encode, block) == (expected, expected + "\n")
 
 
 _ARRAY_ELEMENTS = {
@@ -660,10 +727,54 @@ def _tolisted(o):
         st.dictionaries(st.text(max_size=3), children, max_size=3),
     ),
     max_leaves=8,
-))
-def test_writer_matches_json_indent_2_on_arrays(doc):
+), _SIZES, _SIZES)
+def test_writer_matches_json_indent_2_on_arrays(doc, encode, block):
     # ndarray leaves are written as their tolist() at every nesting level
-    assert cli.dumps(doc) == json.dumps(_tolisted(doc), indent=2)
+    expected = json.dumps(_tolisted(doc), indent=2)
+    assert _streamed(lambda: doc, encode, block) == (expected, expected + "\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.dictionaries(st.text(max_size=3), st.one_of(_ndarrays(), _SCALARS), max_size=3), max_size=4),
+       _SIZES, _SIZES)
+def test_writer_streams_an_iterator_as_a_list(reports, encode, block):
+    # rho -v hands its reports over as a generator; an empty one is []
+    expected = json.dumps({"schema": 1, "reports": _tolisted(reports)}, indent=2)
+    streamed = _streamed(lambda: {"schema": 1, "reports": (report for report in reports)}, encode, block)
+    assert streamed == (expected, expected + "\n")
+    assert cli.dumps(iter(())) == "[]"
+
+
+@pytest.mark.parametrize("encode", [1, 3, 40])
+def test_rho_verbose_reports_match_across_chunks(capsys, tmp_path, monkeypatch, encode):
+    # set_reports pads and pairs ENCODE_NUMBERS // (2 k) sets at a time:
+    # here 1 set (encode 1, 3) or 6 sets (encode 40) per chunk, k = 3
+    (tmp_path / "g.el").write_text(K3K2_TEXT)
+    f = frame_from_graph(parse_edge_list(K3K2_TEXT))
+    expected = {r: run(capsys, "rho", str(tmp_path / "g.el"), "-r", str(r), "-v")[1] for r in (1, 2, 3)}
+    monkeypatch.setattr(cli, "ENCODE_NUMBERS", encode)
+    for r, text in expected.items():
+        code, out, _ = run(capsys, "rho", str(tmp_path / "g.el"), "-r", str(r), "-v")
+        assert (code, out) == (0, text)
+        assert json.loads(out)["reports"] == _per_set_docs(worst_radius(f, f.canonical, r), f.k)
+
+
+def test_rho_verbose_memory_stays_flat(tmp_path):
+    # 3 160 per-set reports with k = 79 padded eigenvalues, about 14 MB of
+    # JSON: the whole document held as text traced 3.5 times its size
+    rng = np.random.default_rng(83)
+    g = random_connected_graph(rng, (80, 80), p=0.3)
+    (tmp_path / "g.el").write_text(f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        code = main(["rho", str(tmp_path / "g.el"), "-r", "2", "-v", "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.stat().st_size > 12 * 10**6
+    assert peak < out.stat().st_size / 2
 
 
 def _documented_commands(graph, params, n):

@@ -208,7 +208,7 @@ def test_reduced_and_full_spectra_agree():
 
 def test_erasure_report_json_shape(explicit):
     f, canon = explicit
-    doc = set_reports(worst_radius(f, canon, 2), f.k)[0]
+    doc = next(set_reports(worst_radius(f, canon, 2), f.k))
     assert doc["lambda"] == [1, 2]
     assert doc["radius"] == pytest.approx(1.0, abs=1e-12)
     assert len(doc["eigenvalues"]) == 3 and len(doc["eigenvalues"][0]) == 2
@@ -218,11 +218,11 @@ def test_erasure_report_json_shape(explicit):
 
 def test_erasure_report_spectrum_padding(explicit):
     f, canon = explicit
-    rep = set_reports(worst_radius(f, canon, 2), f.k)[0]
+    rep = next(set_reports(worst_radius(f, canon, 2), f.k))
     eigenvalues = complex_of(rep["eigenvalues"])
     assert rep["lambda"] == [1, 2] and eigenvalues.shape == (3,)
     assert_multiset_close(eigenvalues, [1.0, 1 / 3, 0.0], tol=1e-12)
-    rep4 = set_reports(worst_radius(f, canon, 4), f.k)[0]
+    rep4 = next(set_reports(worst_radius(f, canon, 4), f.k))
     assert rep4["lambda"] == [1, 2, 3, 4] and complex_of(rep4["eigenvalues"]).shape == (3,)
 
 
@@ -346,7 +346,7 @@ def test_batched_kernel_matches_per_set_loop(monkeypatch, chunk):
                 assert np.ptp(result.radii) <= TIE_TOL
                 assert result.witness == tuple(range(1, r + 1))
 
-            reports = set_reports(result, f.k)
+            reports = list(set_reports(result, f.k))
             assert [tuple(rep["lambda"]) for rep in reports] == [lam for lam, *_ in loop]
             for rep, (_, reduced, eigs, radius) in zip(reports, loop):
                 scale = max(1.0, radius)

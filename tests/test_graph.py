@@ -88,6 +88,27 @@ def test_parse_reads_only_ascii_integers(text, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n " + "1" * 5000 + "\n1 2", "line 1: vertex count '111111111111...' (5000 characters) is out of range"),
+        ("n -" + "1" * 5000, "line 1: vertex count '-11111111111...' (5001 characters) is out of range"),
+        ("# big\nn 9223372036854775808", "line 2: vertex count '922337203685...' (19 characters) is out of range"),
+        ("n 3\n1 2\n1 " + "2" * 5000, "line 3: endpoint '222222222222...' (5000 characters) out of range, n=3"),
+        ("n 3\n-9223372036854775808 1", "line 2: endpoint '-92233720368...' (20 characters) out of range, n=3"),
+        ("n 3\n1 9223372036854775807", "line 2: endpoint out of range in (1, 9223372036854775807), n=3"),
+    ],
+    ids=["count-5000-digits", "count-negative-5000-digits", "count-past-maxsize", "endpoint-5000-digits",
+         "endpoint-past-minus-maxsize", "endpoint-maxsize"],
+)
+def test_parse_reports_huge_integers_as_out_of_range(text, message):
+    # int() refuses more than 4300 digits with a ValueError, which is not a
+    # non-integer; only a prefix of such a token is echoed
+    with pytest.raises(EdgeListError) as excinfo:
+        parse_edge_list(text)
+    assert str(excinfo.value) == message
+
+
 def test_laplacian_fixture_matches_reference():
     assert np.array_equal(laplacian(parse_edge_list(K3K2_TEXT)), K3K2_LAPLACIAN)
 
