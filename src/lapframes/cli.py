@@ -12,8 +12,7 @@ whole rows, each piece one flat encode of a bounded count of numbers by
 json's C encoder joined with the separators of the indent layout (with an
 indent json itself would run its pure-Python encoder). ``_write`` gathers
 the pieces into blocks of bounded size and writes each, so no report is
-held whole in memory; ``dumps`` joins them for a caller that wants a
-string.
+held whole in memory.
 
 Exit codes: 0 success or all checks passed, 1 a verification check failed,
 2 usage or input error, 3 internal or resource failure. Every refusal in
@@ -103,9 +102,10 @@ def set_reports(result: RhoResult, k: int) -> Iterator[dict]:
     magnitude (stable) and padded with zeros or cut to k entries (the
     surplus of r > k being structural zeros of a rank <= k operator), and
     its r x r matrix C[s, s], formed again by the pass. The spectra are
-    sorted, padded and paired a chunk of sets at a time, about
-    ``ENCODE_NUMBERS`` numbers, so no N x k array is held."""
-    sets, spectra, reduced = result.sets, result.spectra, result.blocks()
+    sorted, padded and paired, and the matrices formed, a chunk of sets at a
+    time, about ``ENCODE_NUMBERS`` numbers, so no N x k or N x r x r array
+    is held."""
+    sets, spectra = result.sets, result.spectra
     span = max(1, ENCODE_NUMBERS // (2 * k))
     for lo in range(0, len(sets), span):
         chunk = spectra[lo:lo + span]
@@ -114,7 +114,7 @@ def set_reports(result: RhoResult, k: int) -> Iterator[dict]:
         eigenvalues[:, :min(k, sets.shape[1])] = by_mag[:, :k]
         for lam, radius, eigs, mat in zip(
             (sets[lo:lo + span] + 1).tolist(), np.max(np.abs(chunk), axis=1).tolist(),
-            pairs(eigenvalues), pairs(reduced[lo:lo + span]),
+            pairs(eigenvalues), pairs(result.blocks(lo, lo + span)),
         ):
             yield {"lambda": lam, "radius": radius, "eigenvalues": eigs, "reduced": mat}
 
@@ -206,11 +206,6 @@ def _pieces(o, level: int = 0) -> Iterator[str]:
         yield from _pieces(value, level + 1)
         sep, end = "," + pad, "\n" + "  " * level + brackets[1]
     yield end
-
-
-def dumps(o) -> str:
-    """``json.dumps(o, indent=2)`` byte for byte, as ``_pieces`` writes it."""
-    return "".join(_pieces(o))
 
 
 def _emit(payload: dict, output: str | None) -> None:

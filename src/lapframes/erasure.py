@@ -6,10 +6,15 @@ submatrix C[s, s] of the cross-Gramian C = Phi^H Psi. Every dual is
 Psi_canonical + V B^T, so C = C_0 + W B^T with W = Phi^H V, and
 ``_RadiusPass``, the one pass, holds per frame and r the C(n, r) sets and
 C_0 = Phi^H Psi_canonical, measured (not the closed form, so ``verify``
-measures an independent quantity): its diagonal at r = 1, else n x n. The
-blocks C_0[s, s] and the index of W[s, B(s)] are kept only when every set
-fits one chunk, the search's case, and taken per chunk otherwise, so
-memory stays flat. ``blocks`` alone forms C[s, s] = C_0[s, s] + W[s, B(s)].
+measures an independent quantity): its diagonal at r = 1, else n x n.
+``blocks`` alone forms C[s, s] = C_0[s, s] + W[s, B(s)], a chunk of sets at
+a time. The pass of ``shifted_radii``, which ``search`` calls for thousands
+of duals, is built with ``hold``: it measures the blocks C_0[s, s] and the
+index of W[s, B(s)] of every set once, a chunk at a time, and keeps them if
+they fit ``HOLD_BYTES`` (19 900 pairs, G(200) at r = 2, take 1.9 MB).
+Otherwise, and in ``worst_radius``'s pass, which evaluates one dual (and
+``verify``'s alternate dual), they are measured per chunk on every call, so
+memory stays flat.
 The pass takes its shifts as a B x k x m batch of matrices V. At r = 1 only
 W[i, B(i)] = phi_i^H v is needed, v_a being V[a, component of row a]:
 O(n k), with no n x n or n x m array.
@@ -34,6 +39,7 @@ from .linalg import require_finite, small_complex_eigenvalues
 TIE_TOL = 1e-10
 MAX_SETS = 10**6
 CHUNK_ENTRIES = 1 << 15  # complex entries of W and of C[s, s] per chunk
+HOLD_BYTES = 1 << 25  # bytes of C_0[s, s] and W's index a holding pass may keep for every set
 
 
 class EnumerationCapError(ValueError):
@@ -43,15 +49,16 @@ class EnumerationCapError(ValueError):
 class RhoResult(NamedTuple):
     """The worst radius of one (dual, r) pass, its N x r 0-based ``sets``
     in lexicographic order, their N x r ``spectra`` and N ``radii``,
-    ``blocks()``, which forms every C[s, s] (N x r x r) again from the pass,
-    and the pass's ``worst``, the worst radius of each dual of a B x k x m
-    batch of shifts, for another dual of the same frame and r."""
+    ``blocks(lo, hi)``, which forms C[s, s] of sets lo:hi ((hi - lo) x r x r)
+    again from the pass, and the pass's ``worst``, the worst radius of each
+    dual of a B x k x m batch of shifts, for another dual of the same frame
+    and r."""
 
     radius: float
     sets: np.ndarray
     spectra: np.ndarray
     radii: np.ndarray
-    blocks: Callable[[], np.ndarray]
+    blocks: Callable[[int, int], np.ndarray]
     worst: Callable[[np.ndarray], np.ndarray]
 
     @property
@@ -89,7 +96,7 @@ def _erasure_sets(n: int, r: int) -> np.ndarray:
 class _RadiusPass:
     """The order-r radius pass of one frame (see the module docstring)."""
 
-    def __init__(self, f: Frame, r: int):
+    def __init__(self, f: Frame, r: int, hold: bool = False):
         self.sets = sets = _erasure_sets(f.n, r)
         self.r, self.k, self.n, self.block, m = r, f.k, f.n, f.block, f.layout.m
         self.phi_bar = f.analysis.T  # conj(Phi), k x n
@@ -100,13 +107,22 @@ class _RadiusPass:
         else:
             self.c0 = f.analysis @ f.canonical.vectors
         self.span = max(1, CHUNK_ENTRIES // (r * r))  # sets per chunk
-        self.held = self._measure(sets) if r > 1 and len(sets) <= self.span else None
+        # every set's C_0[s, s] (complex) and W index (intp), if a holding pass has room
+        self.held = self._hold() if hold and r > 1 and len(sets) * r * r * 24 <= HOLD_BYTES else None
         width = f.n if r == 1 else m * f.n
         self.rows = max(1, CHUNK_ENTRIES // (width + min(len(sets), self.span) * r * r))  # duals per chunk
 
     def _measure(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """C_0[s, s] of sets s, and the index of W[s_p, B(s_q)] in a W^T row."""
         return self.c0.take(s[:, :, None] * self.n + s[:, None, :]), self.block[s][:, None, :] * self.n + s[:, :, None]
+
+    def _hold(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_measure`` of every set, a chunk at a time, as two N x r x r arrays."""
+        fixed = np.empty((len(self.sets), self.r, self.r), dtype=self.c0.dtype)
+        index = np.empty(fixed.shape, dtype=np.intp)
+        for lo in range(0, len(self.sets), self.span):
+            fixed[lo:lo + self.span], index[lo:lo + self.span] = self._measure(self.sets[lo:lo + self.span])
+        return fixed, index
 
     def shifts(self, v: np.ndarray) -> np.ndarray:
         """W for each matrix of a B x k x m batch of shifts V: B x n entries
@@ -122,7 +138,10 @@ class _RadiusPass:
         ``shifts``' W: B x (hi - lo) x r x r."""
         if self.r == 1:
             return self.c0[lo:hi] + w[:, lo:hi, None, None]
-        fixed, index = self.held or self._measure(self.sets[lo:hi])  # if held, lo:hi is every set
+        if self.held is None:
+            fixed, index = self._measure(self.sets[lo:hi])
+        else:
+            fixed, index = self.held[0][lo:hi], self.held[1][lo:hi]
         return fixed + w.take(index, axis=1)
 
     def spectra(self, c: np.ndarray) -> np.ndarray:
@@ -161,17 +180,17 @@ def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
     for lo in range(0, len(rp.sets), rp.span):
         spectra[lo:lo + rp.span] = rp.spectra(rp.blocks(w, lo, lo + rp.span))[0]
     radii = rp.largest(spectra[:, None])  # one radius per set
-    return RhoResult(float(radii.max()), rp.sets, spectra, radii, lambda: rp.blocks(w, 0, len(rp.sets))[0], rp.worst)
+    return RhoResult(float(radii.max()), rp.sets, spectra, radii, lambda lo, hi: rp.blocks(w, lo, hi)[0], rp.worst)
 
 
 def shifted_radii(f: Frame, r: int) -> Callable[[np.ndarray], np.ndarray]:
     """The evaluator of order-r worst radii, r in {1, 2}, of the duals
     Psi_canonical + V B^T: it maps a B x k x m batch of shifts V to their B
     radii, after ``frames.check_shifts`` has decided duality for the batch.
-    The frame's order-r pass is built once, here."""
+    The frame's order-r pass is built once, here, with ``hold``."""
     if r not in (1, 2):
         raise ValueError(f"shifted radii cover erasure orders 1 and 2, got {r}")
-    rp = _RadiusPass(f, r)
+    rp = _RadiusPass(f, r, hold=True)
     shape = (f.k, f.layout.m)
 
     def evaluate(v: np.ndarray) -> np.ndarray:

@@ -6,12 +6,15 @@ over the whole dual family, and a strictness probe that certifies uniqueness
 for single-component graphs. ``verify_order`` reads each order's
 per-component laws from the canonical dual's radius pass (``worst_radius``
 returns C's principal-submatrix spectra), and runs the order-independent
-probe once per call. Every refusal is a ``ValueError``, ``SearchBudgetError``
-included; a bad order, seed or negative budget is refused before any work.
+probe once per call. The search's restart comes from ``random.Random``,
+the probe's trials from numpy's seeded PCG64. Every refusal is a
+``ValueError``, ``SearchBudgetError`` included; a bad order, seed or
+negative budget is refused before any work.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +136,9 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
     here, once per batch, and nowhere else. Seeds: the canonical point plus
     per-axis sweeps of the coarse grid (a full Cartesian grid is hopeless
     at 2*m*k dimensions), then Nelder-Mead refinement from the best seeds
-    and one seeded random restart. Points are evaluated in batches by
+    and one random restart, uniform in [-GRID_EXTENT, GRID_EXTENT] per
+    coordinate from the standard library's ``random.Random(seed)``, so the
+    search never loads ``numpy.random``. Points are evaluated in batches by
     ``erasure.shifted_radii``, with no dual formed per point: the canonical
     point alone, the grid pass as one batch, and Nelder-Mead's batches. A
     budget of 0 returns the canonical baseline after its single evaluation;
@@ -208,8 +213,8 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
 
     seeds.sort(key=lambda entry: entry[1])
     starts = [origin] + [x for x, _ in seeds[:3]]
-    rng = np.random.default_rng(seed)
-    starts.append(rng.uniform(-GRID_EXTENT, GRID_EXTENT, dim))
+    restart = random.Random(seed)
+    starts.append(np.array([restart.uniform(-GRID_EXTENT, GRID_EXTENT) for _ in range(dim)]))
     for start in starts:
         remaining = budget - evaluations
         if remaining < dim + 2:

@@ -339,7 +339,7 @@ def _per_set_docs(result, k):
     objects did: spectrum sorted by magnitude (stable), zero-padded or cut to
     k entries, and the pass's own C[s, s]."""
     docs = []
-    for cols, eigs, block in zip(result.sets, result.spectra, result.blocks()):
+    for cols, eigs, block in zip(result.sets, result.spectra, result.blocks(0, len(result.sets))):
         by_mag = eigs[np.argsort(-np.abs(eigs), kind="stable")]
         spectrum = np.concatenate([by_mag, np.zeros(k, dtype=complex)])[:k]
         docs.append({
@@ -400,6 +400,27 @@ def test_python_m_build_leaves_reproduce_unloaded(tmp_path):
     loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
     assert {"lapframes.cli", "lapframes.optimality"} <= loaded
     assert "lapframes.reproduce" not in loaded
+
+
+_MODULES_AFTER_MAIN = ("import sys; from lapframes.cli import main; code = main(sys.argv[1:]); "
+                       "print(code, 'numpy.random' in sys.modules, file=sys.stderr)")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["search", "k4.el", "-r", "1"], False),
+    (["search", "k4.el", "-r", "2", "--seed", "3"], False),
+    (["verify", "k4.el"], True),
+], ids=["search-1", "search-2", "verify"])
+def test_python_search_leaves_numpy_random_unloaded(tmp_path, argv, loaded):
+    # search draws its restart from the standard library's random.Random;
+    # verify's uniqueness probe on a connected graph keeps numpy's generator
+    (tmp_path / "k4.el").write_text(K4_TEXT)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert json.loads(done.stdout)["command"] == argv[0]
+    assert done.stderr == f"0 {loaded}\n"
 
 
 def _closed_pipe():
@@ -672,14 +693,15 @@ _SIZES = st.sampled_from([1, 2, 3, None])
 
 
 def _streamed(make_doc, encode, block):
-    """``dumps`` of a document and ``_emit``'s stdout for another copy of
-    it, with ``ENCODE_NUMBERS`` and ``BLOCK_CHARS`` set (None: as they are)."""
+    """The joined ``_pieces`` of a document and ``_emit``'s stdout for another
+    copy of it, with ``ENCODE_NUMBERS`` and ``BLOCK_CHARS`` set (None: as
+    they are)."""
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         for name, value in (("ENCODE_NUMBERS", encode), ("BLOCK_CHARS", block)):
             if value is not None:
                 mp.setattr(cli, name, value)
-        text = cli.dumps(make_doc())
+        text = "".join(cli._pieces(make_doc()))
         with contextlib.redirect_stdout(out):
             cli._emit(make_doc(), None)
     return text, out.getvalue()
@@ -742,7 +764,7 @@ def test_writer_streams_an_iterator_as_a_list(reports, encode, block):
     expected = json.dumps({"schema": 1, "reports": _tolisted(reports)}, indent=2)
     streamed = _streamed(lambda: {"schema": 1, "reports": (report for report in reports)}, encode, block)
     assert streamed == (expected, expected + "\n")
-    assert cli.dumps(iter(())) == "[]"
+    assert "".join(cli._pieces(iter(()))) == "[]"
 
 
 @pytest.mark.parametrize("encode", [1, 3, 40])
@@ -775,6 +797,33 @@ def test_rho_verbose_memory_stays_flat(tmp_path):
     assert code == 0
     assert out.stat().st_size > 12 * 10**6
     assert peak < out.stat().st_size / 2
+
+
+def test_rho_verbose_forms_blocks_a_chunk_at_a_time(tmp_path, monkeypatch):
+    # 1 140 triples in 21 chunks of the pass and 88 of the reports: -v adds
+    # to rho's tracemalloc peak only what one chunk forms, while a stack of
+    # every C[s, s] with its C_0[s, s] and W index added 3.1 times the bytes
+    # of one N x r x r complex stack here
+    monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 512)
+    monkeypatch.setattr(cli, "ENCODE_NUMBERS", 512)
+    monkeypatch.setattr(cli, "BLOCK_CHARS", 1024)
+    g = random_connected_graph(np.random.default_rng(89), (20, 20), p=0.3)
+    (tmp_path / "g.el").write_text(f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
+    argv = ["rho", str(tmp_path / "g.el"), "-r", "3", "--output", str(tmp_path / "out.json")]
+    main(argv)  # the enumeration is cached before either peak is traced
+
+    def peak(*flags):
+        tracemalloc.start()
+        try:
+            assert main(argv + list(flags)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plain, verbose = peak(), peak("-v")
+    stack = 1140 * 3 * 3 * 16
+    assert len(json.loads((tmp_path / "out.json").read_text())["reports"]) == 1140
+    assert verbose - plain < stack / 4
 
 
 def _documented_commands(graph, params, n):

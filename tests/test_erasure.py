@@ -1,6 +1,7 @@
 import tracemalloc
 import warnings
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ def test_reduced_matrix_first_pair(explicit):
     f, canon = explicit
     result = worst_radius(f, canon, 2)
     assert result.sets[0].tolist() == [0, 1]
-    reduced = result.blocks()[0]
+    reduced = result.blocks(0, 1)[0]
     assert np.max(np.abs(reduced - np.array([[2 / 3, -1 / 3], [-1 / 3, 2 / 3]]))) <= 1e-12
     assert_multiset_close(result.spectra[0], [1.0, 1 / 3], tol=1e-12)
 
@@ -87,7 +88,7 @@ def test_reduced_matrix_second_block_pair(explicit):
     f, canon = explicit
     result = worst_radius(f, canon, 2)
     assert result.sets[-1].tolist() == [3, 4]
-    reduced = result.blocks()[-1]
+    reduced = result.blocks(len(result.sets) - 1, len(result.sets))[0]
     assert np.max(np.abs(reduced - np.array([[0.5, -0.5], [-0.5, 0.5]]))) <= 1e-12
     assert_multiset_close(result.spectra[-1], [1.0, 0.0], tol=1e-12)
 
@@ -95,7 +96,7 @@ def test_reduced_matrix_second_block_pair(explicit):
 def test_reduced_matrix_singletons_are_pairings(explicit):
     f, canon = explicit
     pairings = np.sum(f.synthesis.conj() * canon.vectors, axis=0)
-    reduced = worst_radius(f, canon, 1).blocks()
+    reduced = worst_radius(f, canon, 1).blocks(0, 5)
     assert reduced.shape == (5, 1, 1)
     assert np.max(np.abs(reduced[:, 0, 0] - pairings)) <= 1e-12
 
@@ -134,7 +135,7 @@ def test_worst_radius_r1_reads_the_diagonal_of_c(monkeypatch, k3k2_frame):
     f = k3k2_frame
     dual = dual_from_params(f, random_dual_params(f, np.random.default_rng(73), scale=2.0))
     result = worst_radius(f, dual, 1)
-    diagonal = result.blocks()[:, 0, 0]  # the pass's own C[i, i]
+    diagonal = result.blocks(0, f.n)[:, 0, 0]  # the pass's own C[i, i]
     assert np.max(np.abs(diagonal - np.diagonal(f.analysis @ dual.vectors))) <= 1e-12
     assert result.spectra.shape == (f.n, 1)
     assert np.array_equal(result.spectra[:, 0], diagonal)
@@ -418,6 +419,38 @@ def test_shifted_radii_match_worst_radius(monkeypatch, graph, r, chunk):
     assert np.all(np.abs(got - want) <= 1e-12 * want)
     single = np.array([evaluate(one[None])[0] for one in v[:5]])
     assert np.all(np.abs(single - want[:5]) <= 1e-12 * want[:5])
+
+
+@pytest.mark.parametrize("hold", [None, 0], ids=["held", "per-chunk"])
+@pytest.mark.parametrize("graph", ["connected", "disconnected"])
+def test_shifted_radii_equal_worst_radius_bit_for_bit(monkeypatch, graph, hold):
+    # 10 pairs per chunk, so the sets span several chunks; the evaluator's
+    # pass keeps every chunk's C_0[s, s] and W index (None: the default
+    # budget) or measures them on every call (a budget of 0 bytes)
+    monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 40)
+    if hold is not None:
+        monkeypatch.setattr(erasure, "HOLD_BYTES", hold)
+    rng = np.random.default_rng(97)
+    g = random_connected_graph(rng, (12, 12)) if graph == "connected" else random_disconnected_graph(rng, (3, 3), (4, 5))
+    f = frame_from_graph(g)
+    assert comb(f.n, 2) > 3 * 10
+    v = np.stack([random_dual_params(f, rng, scale=scale) for scale in (0.01, 0.1, 1.0, 10.0) * 4])
+    evaluate = erasure.shifted_radii(f, 2)
+    for got in (evaluate(v), evaluate(v)):
+        assert got.tolist() == [worst_radius(f, dual_from_params(f, one), 2).radius for one in v]
+
+
+def test_worst_radius_pass_keeps_nothing(monkeypatch, k3k2_frame):
+    # worst_radius's pass serves one dual, and verify's one alternate dual
+    # through its worst: each call measures the chunks it reads and keeps none
+    monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 12)  # 3 pairs per chunk, 4 chunks
+    calls = []
+    measure = erasure._RadiusPass._measure
+    monkeypatch.setattr(erasure._RadiusPass, "_measure", lambda rp, s: calls.append(len(s)) or measure(rp, s))
+    result = worst_radius(k3k2_frame, k3k2_frame.canonical, 2)
+    for _ in range(2):
+        result.worst(k3k2_frame.canonical.shifts[None])
+    assert calls == [3, 3, 3, 1] * 3
 
 
 @pytest.mark.parametrize("text, shifts, message", [

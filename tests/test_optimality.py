@@ -176,10 +176,10 @@ def test_search_checks_each_dual_once(monkeypatch, k3k2_frame):
 
 
 @pytest.mark.parametrize("text, r, evaluations, best_rho", [
-    (K3K2_TEXT, 1, 2033, 0.6666666666666666),
-    (K3K2_TEXT, 2, 283, 1.0),
-    (K4_TEXT, 1, 1754, 0.7500000000000001),
-    (K4_TEXT, 2, 139, 1.0),
+    (K3K2_TEXT, 1, 2091, 0.6666666666666666),
+    (K3K2_TEXT, 2, 208, 1.0),
+    (K4_TEXT, 1, 1705, 0.7500000000000001),
+    (K4_TEXT, 2, 125, 1.0),
 ], ids=["k3k2-1", "k3k2-2", "k4-1", "k4-2"])
 def test_search_trajectory_is_pinned(text, r, evaluations, best_rho):
     """The search's exact path, so a change to its evaluator cannot move it
@@ -187,6 +187,45 @@ def test_search_trajectory_is_pinned(text, r, evaluations, best_rho):
     re-pins these values and lists the move in CHANGES.md."""
     report = search_optimal_dual(frame_from_graph(parse_edge_list(text)), r)
     assert (report.evaluations, report.best_rho, report.improved) == (evaluations, best_rho, False)
+
+
+@pytest.mark.parametrize("hold", [None, 0], ids=["held", "per-chunk"])
+def test_search_measures_each_chunk_once(monkeypatch, hold):
+    # 10 pairs per chunk, so K9's 36 pairs take 4 chunks and every dual is
+    # evaluated alone: held C_0[s, s] and W index are measured once per chunk
+    # over the whole search, and without a byte budget once per chunk per
+    # evaluation
+    monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 40)
+    if hold is not None:
+        monkeypatch.setattr(erasure, "HOLD_BYTES", hold)
+    calls = []
+    measure = erasure._RadiusPass._measure
+    monkeypatch.setattr(erasure._RadiusPass, "_measure", lambda rp, s: calls.append(len(s)) or measure(rp, s))
+    text = "n 9\n" + "".join(f"{i} {j}\n" for i in range(1, 10) for j in range(i + 1, 10))
+    report = search_optimal_dual(frame_from_graph(parse_edge_list(text)), 2, budget=400)
+    assert report.evaluations > 300 and not report.improved
+    assert calls == [10, 10, 10, 6] * (1 if hold is None else report.evaluations)
+
+
+def test_search_seed_picks_the_restart(monkeypatch, k3k2_frame):
+    # the fifth Nelder-Mead start is the seeded restart: the same seed gives
+    # the same start and report, another seed another start
+    starts = []
+    refine = optimality.nelder_mead
+    monkeypatch.setattr(optimality, "nelder_mead", lambda f, x, **kw: starts.append(x.copy()) or refine(f, x, **kw))
+    reports = [search_optimal_dual(k3k2_frame, 1, seed=seed) for seed in (7, 7, 8)]
+    first, again, other = (starts[i:i + 5] for i in (0, 5, 10))
+    assert len(starts) == 15
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert all(np.array_equal(a, b) for a, b in zip(first[:4], other[:4]))
+    assert not np.array_equal(first[4], other[4])
+    assert np.abs(first[4]).max() <= optimality.GRID_EXTENT and np.ptp(first[4]) > 0
+    a, b = reports[:2]
+    assert (a.best_rho, a.evaluations, a.improved) == (b.best_rho, b.evaluations, b.improved)
+    assert np.array_equal(a.best_params, b.best_params)
+    assert len(a.near_optima) == len(b.near_optima)
+    for (p, rho), (q, sigma) in zip(a.near_optima, b.near_optima):
+        assert np.array_equal(p, q) and rho == sigma
 
 
 @pytest.mark.parametrize("frame, r", [("k3k2_frame", 1), ("k3_frame", 2)])
