@@ -364,7 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("-r", type=int, required=True, choices=(1, 2))
     p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of the random restart, the last Nelder-Mead start; it runs only if 2mk + 2 evaluations "
+        "of the budget remain (m components, k = n - m), so on large graphs the seed may not change the output",
+    )
     p.add_argument("--output")
     p.set_defaults(fn=cmd_search)
 

@@ -3,25 +3,24 @@
 An erasure set s's error operator is the k x k map assembled from the erased
 dual and frame columns; its nonzero spectrum is that of the r x r principal
 submatrix C[s, s] of the cross-Gramian C = Phi^H Psi. Every dual is
-Psi_canonical + V B^T, so C = C_0 + W B^T with W = Phi^H V, and
+Psi_canonical + V B^T, so C = C_0 + W B^T with W = Phi^H V. A Laplacian
+frame's C_0 = Phi^H Psi_canonical is blockdiag(I - J/n_j): zero across
+blocks and its row's diagonal entry minus 1 off the diagonal within one, so
+C[s, s] = I + X[s, B(s)], X being W plus C_0[i, i] - 1 at each (i, B(i)).
 ``_RadiusPass``, the one pass, holds per frame and r the C(n, r) sets and
-C_0 = Phi^H Psi_canonical, measured (not the closed form, so ``verify``
-measures an independent quantity): its diagonal at r = 1, else n x n.
-``blocks`` alone forms C[s, s] = C_0[s, s] + W[s, B(s)], a chunk of sets at
-a time. The pass of ``shifted_radii``, which ``search`` calls for thousands
-of duals, is built with ``hold``: it measures the blocks C_0[s, s] and the
-index of W[s, B(s)] of every set once, a chunk at a time, and keeps them if
-they fit ``HOLD_BYTES`` (19 900 pairs, G(200) at r = 2, take 1.9 MB).
-Otherwise, and in ``worst_radius``'s pass, which evaluates one dual (and
-``verify``'s alternate dual), they are measured per chunk on every call, so
-memory stays flat.
-The pass takes its shifts as a B x k x m batch of matrices V. At r = 1 only
-W[i, B(i)] = phi_i^H v is needed, v_a being V[a, component of row a]:
-O(n k), with no n x n or n x m array.
-
-``worst_radius`` runs the pass on a dual's shifts as a batch of one;
-``shifted_radii`` is the same pass with ``frames.check_shifts`` in front and
-a maximum per dual at the end.
+C_0's measured diagonal, and refuses a frame whose k is not n - m or whose
+Phi B (``Frame.certificate``) is over ``DUAL_TOL``: that diagonal and that
+check are what ``verify`` measures of C_0. ``blocks`` alone forms C[s, s]
+(C_0[i, i] + W[i, B(i)] at r = 1), a chunk of sets at a time. The pass of
+``shifted_radii``, which ``search`` calls for thousands of duals, is built
+with ``hold``: it measures every set's index of X[s, B(s)] once, a chunk at
+a time, and keeps it if it fits ``HOLD_BYTES`` (G(200)'s 19 900 pairs take
+0.64 MB); otherwise, and in ``worst_radius``'s pass, which evaluates one
+dual (and ``verify``'s alternate dual), it is measured per chunk on every
+call, so memory stays flat. The pass takes its shifts as a B x k x m batch
+of matrices V; at r = 1 only W[i, B(i)] = phi_i^H v is needed, v_a being
+V[a, component of row a]: O(n k), no n x n or n x m array. It serves
+``worst_radius`` (one dual) and ``shifted_radii`` (behind ``check_shifts``).
 """
 
 from __future__ import annotations
@@ -33,13 +32,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .frames import DualFrame, Frame, check_shifts
+from .frames import DUAL_TOL, DualFrame, Frame, check_shifts
 from .linalg import require_finite, small_complex_eigenvalues
 
 TIE_TOL = 1e-10
 MAX_SETS = 10**6
 CHUNK_ENTRIES = 1 << 15  # complex entries of W and of C[s, s] per chunk
-HOLD_BYTES = 1 << 25  # bytes of C_0[s, s] and W's index a holding pass may keep for every set
+HOLD_BYTES = 1 << 25  # bytes of X's index a holding pass may keep for every set
 
 
 class EnumerationCapError(ValueError):
@@ -94,55 +93,55 @@ def _erasure_sets(n: int, r: int) -> np.ndarray:
 
 
 class _RadiusPass:
-    """The order-r radius pass of one frame (see the module docstring)."""
+    """The order-r radius pass of one Laplacian frame (see the module docstring)."""
 
     def __init__(self, f: Frame, r: int, hold: bool = False):
         self.sets = sets = _erasure_sets(f.n, r)
+        if f.k != f.n - f.layout.m or not f.certificate.block_sums_norm <= DUAL_TOL:
+            raise ValueError(f"not a Laplacian frame: k = {f.k} and n - m = {f.n - f.layout.m}, Phi B has "
+                             f"norm {f.certificate.block_sums_norm:.3e} (tolerance {DUAL_TOL:g})")
         self.r, self.k, self.n, self.block, m = r, f.k, f.n, f.block, f.layout.m
         self.phi_bar = f.analysis.T  # conj(Phi), k x n
+        diagonal = np.einsum("ia,ai->i", f.analysis, f.canonical.vectors)  # C_0's, measured
         if r == 1:
             # the index of V[a, component of row a] in a row-major V
             self.own = np.arange(f.k) * m + np.repeat(np.arange(m), np.asarray(f.layout.sizes) - 1)
-            self.c0 = np.einsum("ia,ai->i", f.analysis, f.canonical.vectors)[:, None, None]
+            self.diagonal = diagonal[:, None, None]
         else:
-            self.c0 = f.analysis @ f.canonical.vectors
+            # what X adds to W, as an X^T row: C_0[i, i] - 1 at each (i, B(i))
+            self.offset = np.zeros(m * f.n, dtype=complex)
+            self.offset[self.block * f.n + np.arange(f.n)] = diagonal - 1
         self.span = max(1, CHUNK_ENTRIES // (r * r))  # sets per chunk
-        # every set's C_0[s, s] (complex) and W index (intp), if a holding pass has room
-        self.held = self._hold() if hold and r > 1 and len(sets) * r * r * 24 <= HOLD_BYTES else None
+        self.held = None  # every set's X index, a chunk at a time, if a holding pass has room
+        if hold and r > 1 and len(sets) * r * r * 8 <= HOLD_BYTES:
+            self.held = np.empty((len(sets), r, r), dtype=np.intp)
+            for lo in range(0, len(sets), self.span):
+                self.held[lo:lo + self.span] = self._measure(sets[lo:lo + self.span])
         width = f.n if r == 1 else m * f.n
         self.rows = max(1, CHUNK_ENTRIES // (width + min(len(sets), self.span) * r * r))  # duals per chunk
 
-    def _measure(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """C_0[s, s] of sets s, and the index of W[s_p, B(s_q)] in a W^T row."""
-        return self.c0.take(s[:, :, None] * self.n + s[:, None, :]), self.block[s][:, None, :] * self.n + s[:, :, None]
-
-    def _hold(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_measure`` of every set, a chunk at a time, as two N x r x r arrays."""
-        fixed = np.empty((len(self.sets), self.r, self.r), dtype=self.c0.dtype)
-        index = np.empty(fixed.shape, dtype=np.intp)
-        for lo in range(0, len(self.sets), self.span):
-            fixed[lo:lo + self.span], index[lo:lo + self.span] = self._measure(self.sets[lo:lo + self.span])
-        return fixed, index
+    def _measure(self, s: np.ndarray) -> np.ndarray:
+        """The index of X[s_p, B(s_q)] in an X^T row, for sets s."""
+        return self.block[s][:, None, :] * self.n + s[:, :, None]
 
     def shifts(self, v: np.ndarray) -> np.ndarray:
-        """W for each matrix of a B x k x m batch of shifts V: B x n entries
-        W[i, B(i)] at r = 1, else B x mn, each row W^T row-major."""
+        """X for each matrix of a B x k x m batch of shifts V: B x n entries
+        W[i, B(i)] at r = 1, else B x mn, each row X^T row-major."""
         if self.r == 1:
-            rows = v.reshape(len(v), -1).take(self.own, axis=1)
-        else:
-            rows = v.transpose(0, 2, 1).reshape(-1, self.k)  # the columns nu_j
-        return (rows @ self.phi_bar).reshape(len(v), -1)
+            return v.reshape(len(v), -1).take(self.own, axis=1) @ self.phi_bar
+        x = (v.transpose(0, 2, 1).reshape(-1, self.k) @ self.phi_bar).reshape(len(v), -1)  # W, from the columns nu_j
+        x += self.offset
+        return x
 
-    def blocks(self, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """C[s, s] = C_0[s, s] + W[s, B(s)] of sets lo:hi for every row of
-        ``shifts``' W: B x (hi - lo) x r x r."""
+    def blocks(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """C[s, s] of sets lo:hi for every row of ``shifts``' X: B x (hi - lo)
+        x r x r, C_0[s, s] + W[s, B(s)] at r = 1, else I + X[s, B(s)]."""
         if self.r == 1:
-            return self.c0[lo:hi] + w[:, lo:hi, None, None]
-        if self.held is None:
-            fixed, index = self._measure(self.sets[lo:hi])
-        else:
-            fixed, index = self.held[0][lo:hi], self.held[1][lo:hi]
-        return fixed + w.take(index, axis=1)
+            return self.diagonal[lo:hi] + x[:, lo:hi, None, None]
+        c = x.take(self._measure(self.sets[lo:hi]) if self.held is None else self.held[lo:hi], axis=1)
+        for i in range(self.r):  # I, in place: a broadcast sum would allocate a second stack
+            c[..., i, i] += 1
+        return c
 
     def spectra(self, c: np.ndarray) -> np.ndarray:
         """The r eigenvalues of every block; at r = 1 the entries, unchecked."""
@@ -161,10 +160,10 @@ class _RadiusPass:
         """Each dual's largest radius over all sets, ``rows`` duals at a time."""
         if len(v) > self.rows:
             return np.concatenate([self.worst(v[i:i + self.rows]) for i in range(0, len(v), self.rows)])
-        w = self.shifts(v)
-        radii = self.largest(self.spectra(self.blocks(w, 0, self.span)))
+        x = self.shifts(v)
+        radii = self.largest(self.spectra(self.blocks(x, 0, self.span)))
         for lo in range(self.span, len(self.sets), self.span):
-            np.maximum(radii, self.largest(self.spectra(self.blocks(w, lo, lo + self.span))), out=radii)
+            np.maximum(radii, self.largest(self.spectra(self.blocks(x, lo, lo + self.span))), out=radii)
         return radii
 
 
@@ -175,12 +174,12 @@ def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
     ``frames.dual_from_params``; non-finite shifts are refused."""
     rp = _RadiusPass(f, r)
     require_finite(d.shifts)
-    w = rp.shifts(d.shifts[None])
+    x = rp.shifts(d.shifts[None])
     spectra = np.empty(rp.sets.shape, dtype=complex)
     for lo in range(0, len(rp.sets), rp.span):
-        spectra[lo:lo + rp.span] = rp.spectra(rp.blocks(w, lo, lo + rp.span))[0]
+        spectra[lo:lo + rp.span] = rp.spectra(rp.blocks(x, lo, lo + rp.span))[0]
     radii = rp.largest(spectra[:, None])  # one radius per set
-    return RhoResult(float(radii.max()), rp.sets, spectra, radii, lambda lo, hi: rp.blocks(w, lo, hi)[0], rp.worst)
+    return RhoResult(float(radii.max()), rp.sets, spectra, radii, lambda lo, hi: rp.blocks(x, lo, hi)[0], rp.worst)
 
 
 def shifted_radii(f: Frame, r: int) -> Callable[[np.ndarray], np.ndarray]:

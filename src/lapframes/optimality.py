@@ -138,7 +138,11 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
     at 2*m*k dimensions), then Nelder-Mead refinement from the best seeds
     and one random restart, uniform in [-GRID_EXTENT, GRID_EXTENT] per
     coordinate from the standard library's ``random.Random(seed)``, so the
-    search never loads ``numpy.random``. Points are evaluated in batches by
+    search never loads ``numpy.random``. Each start runs only if at least
+    dim + 2 evaluations remain, and the restart comes last: with the
+    default budget the earlier starts spend it all on graphs with large
+    k*m (r = 2 on G(100, 0.3) and G(200, 0.3)), so there ``seed`` does not
+    change the report. Points are evaluated in batches by
     ``erasure.shifted_radii``, with no dual formed per point: the canonical
     point alone, the grid pass as one batch, and Nelder-Mead's batches. A
     budget of 0 returns the canonical baseline after its single evaluation;

@@ -802,8 +802,8 @@ def test_rho_verbose_memory_stays_flat(tmp_path):
 def test_rho_verbose_forms_blocks_a_chunk_at_a_time(tmp_path, monkeypatch):
     # 1 140 triples in 21 chunks of the pass and 88 of the reports: -v adds
     # to rho's tracemalloc peak only what one chunk forms, while a stack of
-    # every C[s, s] with its C_0[s, s] and W index added 3.1 times the bytes
-    # of one N x r x r complex stack here
+    # every C[s, s], with the C_0[s, s] and W index an earlier pass gathered
+    # for it, added 3.1 times the bytes of one N x r x r complex stack here
     monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 512)
     monkeypatch.setattr(cli, "ENCODE_NUMBERS", 512)
     monkeypatch.setattr(cli, "BLOCK_CHARS", 1024)

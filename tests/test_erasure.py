@@ -19,8 +19,8 @@ from lapframes import (
 )
 from lapframes.cli import set_reports
 from lapframes.erasure import TIE_TOL, EnumerationCapError
-from lapframes.frames import DualFrame
-from lapframes.graph import Graph
+from lapframes.frames import DualFrame, Frame, is_dual
+from lapframes.graph import Graph, contiguous_decomposition
 from lapframes.reproduce import (
     CANONICAL_OPERATORS,
     EXPECTED_RADII,
@@ -372,8 +372,8 @@ def test_worst_radius_memory_stays_flat():
 
 
 def test_worst_radius_memory_stays_flat_across_chunks():
-    # 117 480 triples in 33 chunks; C_0[s, s] and the W index kept for every
-    # set at once traced 36 MiB here, against 12 MiB gathered per chunk
+    # 117 480 triples in 33 chunks; the X index kept for every set at once
+    # traced 20 MiB here, against 12 MiB gathered per chunk
     rng = np.random.default_rng(71)
     f = frame_from_graph(random_graph(90, rng, p=0.3))
     dual = dual_from_params(f, random_dual_params(f, rng, scale=1.0))
@@ -425,8 +425,8 @@ def test_shifted_radii_match_worst_radius(monkeypatch, graph, r, chunk):
 @pytest.mark.parametrize("graph", ["connected", "disconnected"])
 def test_shifted_radii_equal_worst_radius_bit_for_bit(monkeypatch, graph, hold):
     # 10 pairs per chunk, so the sets span several chunks; the evaluator's
-    # pass keeps every chunk's C_0[s, s] and W index (None: the default
-    # budget) or measures them on every call (a budget of 0 bytes)
+    # pass keeps every chunk's X index (None: the default budget) or
+    # measures it on every call (a budget of 0 bytes)
     monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 40)
     if hold is not None:
         monkeypatch.setattr(erasure, "HOLD_BYTES", hold)
@@ -442,7 +442,8 @@ def test_shifted_radii_equal_worst_radius_bit_for_bit(monkeypatch, graph, hold):
 
 def test_worst_radius_pass_keeps_nothing(monkeypatch, k3k2_frame):
     # worst_radius's pass serves one dual, and verify's one alternate dual
-    # through its worst: each call measures the chunks it reads and keeps none
+    # through its worst: each call measures the X index of the chunks it
+    # reads and keeps none
     monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 12)  # 3 pairs per chunk, 4 chunks
     calls = []
     measure = erasure._RadiusPass._measure
@@ -492,6 +493,24 @@ def test_shifted_radii_validate_order_and_shape(k3k2_frame, edge_frame):
     for shape in ((2, 3, 1), (2, 2, 2), (2, 12), (3, 2)):
         with pytest.raises(ValueError, match=r"batch of 3 x 2 shift matrices"):
             erasure.shifted_radii(k3k2_frame, 1)(np.zeros(shape))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("rows, sizes, message", [
+    (np.eye(3), (3,), "k = 3 and n - m = 2, Phi B has norm 1.000e+00"),
+    ([[1, -1, 0, 0], [0, 0, 0, 1]], (2, 2), "k = 2 and n - m = 2, Phi B has norm 1.000e+00"),
+], ids=["k-not-n-minus-m", "nonzero-block-sum"])
+def test_radius_pass_refuses_a_frame_that_is_not_laplacian(rows, sizes, message, r):
+    # C[s, s] = I + X[s, B(s)] needs C_0 = blockdiag(I - J/n_j): the 3 x 3
+    # basis on one component has k = n, and the second frame's last row sums
+    # to 1 over its block; both have a canonical dual
+    synthesis = np.array(rows, dtype=complex)
+    k, n = synthesis.shape
+    f = Frame(k, n, synthesis, contiguous_decomposition(sizes), (np.abs(synthesis) ** 2).sum(axis=1))
+    assert is_dual(f, f.canonical).ok
+    expected = f"not a Laplacian frame: {message} (tolerance 1e-08)"
+    assert _message(lambda: worst_radius(f, f.canonical, r)) == expected
+    assert _message(lambda: erasure.shifted_radii(f, r)) == expected
 
 
 def _graph_of_sizes(sizes, rng, shuffle):

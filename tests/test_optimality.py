@@ -192,9 +192,8 @@ def test_search_trajectory_is_pinned(text, r, evaluations, best_rho):
 @pytest.mark.parametrize("hold", [None, 0], ids=["held", "per-chunk"])
 def test_search_measures_each_chunk_once(monkeypatch, hold):
     # 10 pairs per chunk, so K9's 36 pairs take 4 chunks and every dual is
-    # evaluated alone: held C_0[s, s] and W index are measured once per chunk
-    # over the whole search, and without a byte budget once per chunk per
-    # evaluation
+    # evaluated alone: the held X index is measured once per chunk over the
+    # whole search, and without a byte budget once per chunk per evaluation
     monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 40)
     if hold is not None:
         monkeypatch.setattr(erasure, "HOLD_BYTES", hold)
