@@ -8,19 +8,20 @@ frame's C_0 = Phi^H Psi_canonical is blockdiag(I - J/n_j): zero across
 blocks and its row's diagonal entry minus 1 off the diagonal within one, so
 C[s, s] = I + X[s, B(s)], X being W plus C_0[i, i] - 1 at each (i, B(i)).
 ``_RadiusPass``, the one pass, holds per frame and r the C(n, r) sets and
-C_0's measured diagonal, and refuses a frame whose k is not n - m or whose
-Phi B (``Frame.certificate``) is over ``DUAL_TOL``: that diagonal and that
-check are what ``verify`` measures of C_0. ``blocks`` alone forms C[s, s]
-(C_0[i, i] + W[i, B(i)] at r = 1), a chunk of sets at a time. The pass of
-``shifted_radii``, which ``search`` calls for thousands of duals, is built
-with ``hold``: it measures every set's index of X[s, B(s)] once, a chunk at
-a time, and keeps it if it fits ``HOLD_BYTES`` (G(200)'s 19 900 pairs take
-0.64 MB); otherwise, and in ``worst_radius``'s pass, which evaluates one
-dual (and ``verify``'s alternate dual), it is measured per chunk on every
-call, so memory stays flat. The pass takes its shifts as a B x k x m batch
-of matrices V; at r = 1 only W[i, B(i)] = phi_i^H v is needed, v_a being
-V[a, component of row a]: O(n k), no n x n or n x m array. It serves
-``worst_radius`` (one dual) and ``shifted_radii`` (behind ``check_shifts``).
+C_0's measured diagonal, and refuses a frame whose k is not n - m, whose
+Phi B (``Frame.certificate``) is over ``DUAL_TOL`` or whose Phi has an
+entry over ``DUAL_TOL`` outside its component blocks (``Frame.off_block``):
+that diagonal and those checks are what ``verify`` measures of C_0.
+``blocks`` alone forms C[s, s], a chunk of sets at a time, in that one form
+at every order; the order decides only which entries of X are formed: at
+r = 1 only X[i, B(i)] = phi_i^H v + C_0[i, i] - 1, v_a being V[a,
+component of row a] (O(n k), no n x n or n x m array), at r >= 2 all of X.
+The pass of ``shifted_radii``, which ``search`` calls for thousands of
+duals, is built with ``hold``: it measures every set's index of
+X[s, B(s)] once, a chunk at a time, and keeps it (at most 32 MB, since
+that evaluator takes r <= 2). ``worst_radius``'s pass, which evaluates one
+dual, measures it per chunk, so memory stays flat. The pass takes its
+shifts as a B x k x m batch of matrices V.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .linalg import require_finite, small_complex_eigenvalues
 TIE_TOL = 1e-10
 MAX_SETS = 10**6
 CHUNK_ENTRIES = 1 << 15  # complex entries of W and of C[s, s] per chunk
-HOLD_BYTES = 1 << 25  # bytes of X's index a holding pass may keep for every set
 
 
 class EnumerationCapError(ValueError):
@@ -48,17 +48,14 @@ class EnumerationCapError(ValueError):
 class RhoResult(NamedTuple):
     """The worst radius of one (dual, r) pass, its N x r 0-based ``sets``
     in lexicographic order, their N x r ``spectra`` and N ``radii``,
-    ``blocks(lo, hi)``, which forms C[s, s] of sets lo:hi ((hi - lo) x r x r)
-    again from the pass, and the pass's ``worst``, the worst radius of each
-    dual of a B x k x m batch of shifts, for another dual of the same frame
-    and r."""
+    and ``blocks(lo, hi)``, which forms C[s, s] of sets lo:hi ((hi - lo) x r
+    x r) again from the pass."""
 
     radius: float
     sets: np.ndarray
     spectra: np.ndarray
     radii: np.ndarray
     blocks: Callable[[int, int], np.ndarray]
-    worst: Callable[[np.ndarray], np.ndarray]
 
     @property
     def witness(self) -> tuple[int, ...]:
@@ -100,70 +97,61 @@ class _RadiusPass:
         if f.k != f.n - f.layout.m or not f.certificate.block_sums_norm <= DUAL_TOL:
             raise ValueError(f"not a Laplacian frame: k = {f.k} and n - m = {f.n - f.layout.m}, Phi B has "
                              f"norm {f.certificate.block_sums_norm:.3e} (tolerance {DUAL_TOL:g})")
-        self.r, self.k, self.n, self.block, m = r, f.k, f.n, f.block, f.layout.m
+        if not f.off_block <= DUAL_TOL:
+            raise ValueError(f"not a Laplacian frame: Phi has an entry of modulus {f.off_block:.3e} outside "
+                             f"its component blocks (tolerance {DUAL_TOL:g})")
+        self.r, self.k, self.n, m = r, f.k, f.n, f.layout.m
         self.phi_bar = f.analysis.T  # conj(Phi), k x n
-        diagonal = np.einsum("ia,ai->i", f.analysis, f.canonical.vectors)  # C_0's, measured
+        # the order's one choice, which entries of X are formed: all at r >= 2, only each (i, B(i)) at
+        # r = 1, kept in one column and read through v_a = V[a, component of row a] in a row-major V
+        self.column = f.block  # the column of X that holds (i, B(i))
         if r == 1:
-            # the index of V[a, component of row a] in a row-major V
             self.own = np.arange(f.k) * m + np.repeat(np.arange(m), np.asarray(f.layout.sizes) - 1)
-            self.diagonal = diagonal[:, None, None]
-        else:
-            # what X adds to W, as an X^T row: C_0[i, i] - 1 at each (i, B(i))
-            self.offset = np.zeros(m * f.n, dtype=complex)
-            self.offset[self.block * f.n + np.arange(f.n)] = diagonal - 1
+            self.column = np.zeros(f.n, dtype=np.intp)
+        # what X adds to W, as an X^T row: C_0[i, i] - 1 at each (i, B(i)), C_0's diagonal measured
+        diagonal = np.einsum("ia,ai->i", f.analysis, f.canonical.vectors)
+        self.offset = np.zeros((self.column[-1] + 1) * f.n, dtype=complex)  # X's columns, n entries each
+        self.offset[self.column * f.n + np.arange(f.n)] = diagonal - 1
         self.span = max(1, CHUNK_ENTRIES // (r * r))  # sets per chunk
-        self.held = None  # every set's X index, a chunk at a time, if a holding pass has room
-        if hold and r > 1 and len(sets) * r * r * 8 <= HOLD_BYTES:
+        self.held = None  # every set's X index, measured a chunk at a time, in a holding pass
+        if hold:
             self.held = np.empty((len(sets), r, r), dtype=np.intp)
             for lo in range(0, len(sets), self.span):
                 self.held[lo:lo + self.span] = self._measure(sets[lo:lo + self.span])
-        width = f.n if r == 1 else m * f.n
-        self.rows = max(1, CHUNK_ENTRIES // (width + min(len(sets), self.span) * r * r))  # duals per chunk
+        # duals per chunk
+        self.rows = max(1, CHUNK_ENTRIES // (len(self.offset) + min(len(sets), self.span) * r * r))
 
     def _measure(self, s: np.ndarray) -> np.ndarray:
         """The index of X[s_p, B(s_q)] in an X^T row, for sets s."""
-        return self.block[s][:, None, :] * self.n + s[:, :, None]
+        return self.column[s][:, None, :] * self.n + s[:, :, None]
 
     def shifts(self, v: np.ndarray) -> np.ndarray:
-        """X for each matrix of a B x k x m batch of shifts V: B x n entries
-        W[i, B(i)] at r = 1, else B x mn, each row X^T row-major."""
+        """X for each matrix of a B x k x m batch of shifts V, each row X^T
+        row-major: B x n entries X[i, B(i)] at r = 1, else B x mn."""
         if self.r == 1:
-            return v.reshape(len(v), -1).take(self.own, axis=1) @ self.phi_bar
-        x = (v.transpose(0, 2, 1).reshape(-1, self.k) @ self.phi_bar).reshape(len(v), -1)  # W, from the columns nu_j
+            x = v.reshape(len(v), -1).take(self.own, axis=1) @ self.phi_bar
+        else:  # W, from the columns nu_j
+            x = (v.transpose(0, 2, 1).reshape(-1, self.k) @ self.phi_bar).reshape(len(v), -1)
         x += self.offset
         return x
 
     def blocks(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """C[s, s] of sets lo:hi for every row of ``shifts``' X: B x (hi - lo)
-        x r x r, C_0[s, s] + W[s, B(s)] at r = 1, else I + X[s, B(s)]."""
-        if self.r == 1:
-            return self.diagonal[lo:hi] + x[:, lo:hi, None, None]
+        """C[s, s] = I + X[s, B(s)] of sets lo:hi for every row of ``shifts``'
+        X: B x (hi - lo) x r x r."""
         c = x.take(self._measure(self.sets[lo:hi]) if self.held is None else self.held[lo:hi], axis=1)
         for i in range(self.r):  # I, in place: a broadcast sum would allocate a second stack
             c[..., i, i] += 1
         return c
-
-    def spectra(self, c: np.ndarray) -> np.ndarray:
-        """The r eigenvalues of every block; at r = 1 the entries, unchecked."""
-        return c[..., 0] if self.r == 1 else small_complex_eigenvalues(c)
-
-    def largest(self, spectra: np.ndarray) -> np.ndarray:
-        """The largest magnitude of each row of a B x N x r stack of spectra.
-        Order 1's are C's entries, checked only when a radius is not finite
-        (it may still come from finite entries)."""
-        radii = np.abs(spectra).max(axis=(1, 2))
-        if self.r == 1 and not np.isfinite(radii).all():
-            require_finite(spectra)
-        return radii
 
     def worst(self, v: np.ndarray) -> np.ndarray:
         """Each dual's largest radius over all sets, ``rows`` duals at a time."""
         if len(v) > self.rows:
             return np.concatenate([self.worst(v[i:i + self.rows]) for i in range(0, len(v), self.rows)])
         x = self.shifts(v)
-        radii = self.largest(self.spectra(self.blocks(x, 0, self.span)))
-        for lo in range(self.span, len(self.sets), self.span):
-            np.maximum(radii, self.largest(self.spectra(self.blocks(x, lo, lo + self.span))), out=radii)
+        radii = np.zeros(len(v))
+        for lo in range(0, len(self.sets), self.span):
+            spectra = small_complex_eigenvalues(self.blocks(x, lo, lo + self.span))
+            np.maximum(radii, np.abs(spectra).max(axis=(1, 2)), out=radii)
         return radii
 
 
@@ -177,9 +165,9 @@ def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
     x = rp.shifts(d.shifts[None])
     spectra = np.empty(rp.sets.shape, dtype=complex)
     for lo in range(0, len(rp.sets), rp.span):
-        spectra[lo:lo + rp.span] = rp.spectra(rp.blocks(x, lo, lo + rp.span))[0]
-    radii = rp.largest(spectra[:, None])  # one radius per set
-    return RhoResult(float(radii.max()), rp.sets, spectra, radii, lambda lo, hi: rp.blocks(x, lo, hi)[0], rp.worst)
+        spectra[lo:lo + rp.span] = small_complex_eigenvalues(rp.blocks(x, lo, lo + rp.span))[0]
+    radii = np.abs(spectra).max(axis=1)  # one radius per set
+    return RhoResult(float(radii.max()), rp.sets, spectra, radii, lambda lo, hi: rp.blocks(x, lo, hi)[0])
 
 
 def shifted_radii(f: Frame, r: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -50,7 +50,8 @@ class Frame:
     block order, descending inside each block; the frame operator
     Phi Phi^H is diag(spectrum). ``synthesis`` and ``spectrum`` are made
     read-only, so the memos below (the duality certificate's terms, the
-    canonical dual, the block index and the analysis Phi^H) cannot go stale.
+    canonical dual, the block index, the analysis Phi^H and the largest
+    entry outside the blocks) cannot go stale.
     """
 
     k: int
@@ -89,6 +90,14 @@ class Frame:
         analysis = self.synthesis.conj().T
         analysis.flags.writeable = False
         return analysis
+
+    @cached_property
+    def off_block(self) -> float:
+        """max |Phi| outside its component blocks, rows(j) x columns(j), the
+        rows of component j being the n_j - 1 after those of the components
+        before it (read when k = n - m); 0 for a frame built from a graph."""
+        rows = np.repeat(np.arange(self.layout.m), np.asarray(self.layout.sizes) - 1)
+        return float(np.abs(self.synthesis).max(where=rows[:, None] != self.block, initial=0.0))
 
     @cached_property
     def certificate(self) -> DualityTerms:

@@ -5,9 +5,10 @@ alternate optimal duals for multi-component graphs, a derivative-free search
 over the whole dual family, and a strictness probe that certifies uniqueness
 for single-component graphs. ``verify_order`` reads each order's
 per-component laws from the canonical dual's radius pass (``worst_radius``
-returns C's principal-submatrix spectra), and runs the order-independent
-probe once per call. The search's restart comes from ``random.Random``,
-the probe's trials from numpy's seeded PCG64. Every refusal is a
+returns C's principal-submatrix spectra) and an alternate dual's radius
+from ``shifted_radii``, and runs the order-independent probe once per
+call. The search's restart comes from ``random.Random``, the probe's
+trials from numpy's seeded PCG64. Every refusal is a
 ``ValueError``, ``SearchBudgetError`` included; a bad order, seed or
 negative budget is refused before any work.
 """
@@ -133,15 +134,15 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
 
     Nelder-Mead works in 2*m*k real coordinates [Re nu_1, Im nu_1, Re nu_2,
     ...], nu_j being column j of the k x m shifts V; they are read as V
-    here, once per batch, and nowhere else. Seeds: the canonical point plus
-    per-axis sweeps of the coarse grid (a full Cartesian grid is hopeless
-    at 2*m*k dimensions), then Nelder-Mead refinement from the best seeds
-    and one random restart, uniform in [-GRID_EXTENT, GRID_EXTENT] per
-    coordinate from the standard library's ``random.Random(seed)``, so the
-    search never loads ``numpy.random``. Each start runs only if at least
-    dim + 2 evaluations remain, and the restart comes last: with the
-    default budget the earlier starts spend it all on graphs with large
-    k*m (r = 2 on G(100, 0.3) and G(200, 0.3)), so there ``seed`` does not
+    here, once per batch, and nowhere else. The canonical point is
+    evaluated, then per-axis sweeps of the coarse grid (a full Cartesian
+    grid is hopeless at 2*m*k dimensions). Nelder-Mead then starts from the
+    canonical point, from the three best grid points and last from one
+    random restart, uniform in [-GRID_EXTENT, GRID_EXTENT] per coordinate
+    from the standard library's ``random.Random(seed)``, so the search
+    never loads ``numpy.random``. Each start runs only if at least dim + 2
+    evaluations remain: with the default budget the earlier starts can
+    spend it all on graphs with large k*m, and then ``seed`` does not
     change the report. Points are evaluated in batches by
     ``erasure.shifted_radii``, with no dual formed per point: the canonical
     point alone, the grid pass as one batch, and Nelder-Mead's batches. A
@@ -210,12 +211,11 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
     grid = np.zeros((dim * len(axis_values), dim))  # each axis at each value, in turn
     grid[np.arange(len(grid)), np.repeat(np.arange(dim), len(axis_values))] = np.tile(axis_values, dim)
     values = objective(grid).tolist()
-    seeds = [(origin, canonical_rho), *zip(grid, values)]
     first = int(np.argmin(values))
     if values[first] < best_rho:
         best_x, best_rho = grid[first], values[first]
 
-    seeds.sort(key=lambda entry: entry[1])
+    seeds = sorted(zip(grid, values), key=lambda entry: entry[1])  # stable: the first of tied points leads
     starts = [origin] + [x for x, _ in seeds[:3]]
     restart = random.Random(seed)
     starts.append(np.array([restart.uniform(-GRID_EXTENT, GRID_EXTENT) for _ in range(dim)]))
@@ -332,7 +332,7 @@ def _order_report(f: Frame, r: int, probe: ProbeReport | None) -> OptimalityRepo
         unique = "unique" if details[-1]["pass"] else "undetermined"
     else:
         alternate = alternate_optimal_dual(f, r)
-        alt_radius = float(result.worst(alternate.shifts[None])[0])
+        alt_radius = float(shifted_radii(f, r)(alternate.shifts[None])[0])
         details.append(_detail(f"alternate dual ties the order-{r} radius", measured, alt_radius, RADIUS_TOL))
         distance = float(np.max(np.linalg.norm(alternate.vectors - canon.vectors, axis=0)))
         details.append(

@@ -177,9 +177,9 @@ def test_search_checks_each_dual_once(monkeypatch, k3k2_frame):
 
 @pytest.mark.parametrize("text, r, evaluations, best_rho", [
     (K3K2_TEXT, 1, 2091, 0.6666666666666666),
-    (K3K2_TEXT, 2, 208, 1.0),
-    (K4_TEXT, 1, 1705, 0.7500000000000001),
-    (K4_TEXT, 2, 125, 1.0),
+    (K3K2_TEXT, 2, 209, 1.0),
+    (K4_TEXT, 1, 1809, 0.7500000000000001),
+    (K4_TEXT, 2, 133, 1.0),
 ], ids=["k3k2-1", "k3k2-2", "k4-1", "k4-2"])
 def test_search_trajectory_is_pinned(text, r, evaluations, best_rho):
     """The search's exact path, so a change to its evaluator cannot move it
@@ -189,21 +189,18 @@ def test_search_trajectory_is_pinned(text, r, evaluations, best_rho):
     assert (report.evaluations, report.best_rho, report.improved) == (evaluations, best_rho, False)
 
 
-@pytest.mark.parametrize("hold", [None, 0], ids=["held", "per-chunk"])
-def test_search_measures_each_chunk_once(monkeypatch, hold):
+def test_search_measures_each_chunk_once(monkeypatch):
     # 10 pairs per chunk, so K9's 36 pairs take 4 chunks and every dual is
     # evaluated alone: the held X index is measured once per chunk over the
-    # whole search, and without a byte budget once per chunk per evaluation
+    # whole search
     monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 40)
-    if hold is not None:
-        monkeypatch.setattr(erasure, "HOLD_BYTES", hold)
     calls = []
     measure = erasure._RadiusPass._measure
     monkeypatch.setattr(erasure._RadiusPass, "_measure", lambda rp, s: calls.append(len(s)) or measure(rp, s))
     text = "n 9\n" + "".join(f"{i} {j}\n" for i in range(1, 10) for j in range(i + 1, 10))
     report = search_optimal_dual(frame_from_graph(parse_edge_list(text)), 2, budget=400)
     assert report.evaluations > 300 and not report.improved
-    assert calls == [10, 10, 10, 6] * (1 if hold is None else report.evaluations)
+    assert calls == [10, 10, 10, 6]
 
 
 def test_search_seed_picks_the_restart(monkeypatch, k3k2_frame):
@@ -342,19 +339,20 @@ def test_verify_order_disconnected(k3k2_frame):
         assert len(rep.witnesses) == 2
 
 
-def test_verify_order_builds_one_radius_pass_per_order(monkeypatch, k3k2_frame):
-    # the alternate witness's radius comes from the canonical dual's pass
+def test_verify_order_reads_the_alternate_through_shifted_radii(monkeypatch, k3k2_frame):
+    # per order, the canonical dual's pass and then the evaluator's holding
+    # pass, which gives the alternate witness's radius
     calls = []
     build = erasure._RadiusPass.__init__
 
-    def counted(self, f, r):
-        calls.append(r)
-        build(self, f, r)
+    def counted(self, f, r, hold=False):
+        calls.append((r, hold))
+        build(self, f, r, hold)
 
     monkeypatch.setattr(erasure._RadiusPass, "__init__", counted)
     reports = verify_order(k3k2_frame, [1, 2])
     assert all(rep.unique == "non-unique" and rep.all_pass for rep in reports)
-    assert calls == [1, 2]
+    assert calls == [(1, False), (1, True), (2, False), (2, True)]
 
 
 def test_verify_order_degenerate_disconnected_uses_singleton_witness():

@@ -1,0 +1,169 @@
+"""Compare the CLI's output under two source trees.
+
+    python tools/output_gate.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold the ``lapframes`` package
+(the ``src`` of two checkouts). Every command of the gate set runs once
+under each, as ``python -m lapframes ...`` with that tree first on
+``PYTHONPATH``, from the same input directory:
+
+* six fixtures (k3k2, k3, k4, one edge, ``n 3`` with one edge, K3 + K2 +
+  a singleton) with ``build``, ``dual``, ``verify``, ``rho -r 1`` and
+  ``-r 2`` plain and with ``-v``, and ``search -r 1`` and ``-r 2``;
+* round 0 of seeds 1 and 2 of every benchmark workload, written by
+  ``perfbench/workloads.write_inputs``: each query of the round, ``-v`` of
+  each ``rho``, ``-r 1`` (plain and ``-v``) of each ``rho`` with
+  ``--params``, and ``verify`` of each ``frame-build`` graph.
+
+For each command whose stdout, stderr or exit code differs it prints the
+exit codes, whether stderr differs, the JSON keys whose values differ (list
+indices written as ``[]``), each value old -> new when at most ``SHOWN``
+differ, and the largest relative move of a number, with its path. It
+exits 1 when any exit code or stderr differs, else 0; stdout moves are
+reported for the reader to judge. Nothing under ``perfbench/`` is
+written; the inputs go to a temporary directory.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2)
+SHOWN = 3  # differing values printed old -> new when no more differ
+FIXTURES = {
+    "k3k2": "n 5\n1 2\n1 3\n2 3\n4 5\n",
+    "k3": "n 3\n1 2\n1 3\n2 3\n",
+    "k4": "n 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n",
+    "edge": "n 2\n1 2\n",
+    "n3edge": "n 3\n1 2\n",
+    "k3k2k1": "n 6\n1 2\n1 3\n2 3\n4 5\n",
+}
+FIXTURE_COMMANDS = (["build"], ["dual"], ["verify"], ["rho", "-r", "1"], ["rho", "-r", "2"],
+                    ["rho", "-r", "1", "-v"], ["rho", "-r", "2", "-v"], ["search", "-r", "1"],
+                    ["search", "-r", "2"])
+
+
+def gate_set(work: Path) -> list[tuple[Path, list[str]]]:
+    """Write every input under ``work`` and return (directory, argv) pairs."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS, write_inputs
+
+    fixtures = work / "fixtures"
+    fixtures.mkdir(parents=True)
+    commands = []
+    for name, text in FIXTURES.items():
+        (fixtures / f"{name}.el").write_text(text, encoding="utf-8")
+        commands += [(fixtures, [cmd[0], f"{name}.el", *cmd[1:]]) for cmd in FIXTURE_COMMANDS]
+    for workload in WORKLOADS.values():
+        for seed in SEEDS:
+            directory = work / f"{workload.name}-seed{seed}"
+            write_inputs(workload, seed, 0, directory)
+            argvs = []
+            for q in workload.queries:
+                argv = q.argv()
+                argvs.append(argv)
+                if q.command == "rho":
+                    argvs.append(argv + ["-v"])
+                    if q.params:
+                        one = [q.command, f"{q.graph}.el", "-r", "1", "--params", f"{q.graph}.params.json"]
+                        argvs += [one, one + ["-v"]]
+            if workload.name == "frame-build":
+                argvs += [["verify", f"{g.name}.el"] for g in workload.graphs]
+            seen = set()
+            for argv in argvs:
+                if tuple(argv) not in seen:
+                    seen.add(tuple(argv))
+                    commands.append((directory, argv))
+    return commands
+
+
+def run(src: Path, directory: Path, argv: list[str]) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "lapframes", *argv], cwd=directory, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def differences(a, b, path: str = ""):
+    """Yield (path, old, new) for every JSON leaf that differs, or for a key
+    or list that one side lacks or has at another length."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in a.keys() | b.keys():
+            yield from differences(a.get(key), b.get(key), f"{path}.{key}".lstrip("."))
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from differences(x, y, f"{path}[{i}]")
+    elif a != b:
+        yield path, a, b
+
+
+def _move(a, b) -> float | None:
+    """The relative move between two finite numbers, else None."""
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in (a, b)):
+        return abs(a - b) / max(abs(a), abs(b))
+    return None
+
+
+def compare(old, new) -> list[str]:
+    """Lines describing how one command's two outcomes differ."""
+    (old_code, old_out, old_err), (new_code, new_out, new_err) = old, new
+    lines = [f"  exit {old_code} -> {new_code}; stderr {'differs' if old_err != new_err else 'same'}"]
+    if old_out == new_out:
+        return lines
+    try:
+        leaves = list(differences(json.loads(old_out), json.loads(new_out)))
+    except json.JSONDecodeError:
+        return lines + ["  stdout differs and is not JSON"]
+    keys = sorted({re.sub(r"\[\d+\]", "[]", p) for p, _, _ in leaves})
+    lines.append(f"  {len(leaves)} values differ under: {', '.join(keys)}")
+    if len(leaves) <= SHOWN:
+        lines += [f"    {p}: {json.dumps(a)[:60]} -> {json.dumps(b)[:60]}" for p, a, b in leaves]
+    moves = [(_move(a, b), p) for p, a, b in leaves]
+    numeric = [(move, p) for move, p in moves if move is not None]
+    if numeric:
+        lines.append("  largest relative move {:.3g} at {}".format(*max(numeric)))
+    if len(numeric) < len(moves):
+        lines.append(f"  {len(moves) - len(numeric)} values differ in kind or are not finite numbers")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: " + __doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    old_src, new_src = (Path(a).resolve() for a in argv)
+    for src in (old_src, new_src):
+        if not (src / "lapframes" / "__init__.py").is_file():
+            print(f"error: {src} holds no lapframes package", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory(prefix="output-gate-") as tmp:
+        work = Path(tmp)
+        commands = gate_set(work)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            old = list(pool.map(lambda c: run(old_src, *c), commands))
+            new = list(pool.map(lambda c: run(new_src, *c), commands))
+        failed = moved = 0
+        for (directory, args), a, b in zip(commands, old, new):
+            if a == b:
+                continue
+            hard = a[0] != b[0] or a[2] != b[2]
+            failed += hard
+            moved += not hard
+            print(f"{'FAIL' if hard else 'MOVE'} {directory.relative_to(work)}: lapframes {' '.join(args)}")
+            print("\n".join(compare(a, b)))
+    print(f"{len(commands)} commands: {len(commands) - failed - moved} identical, {moved} with stdout moves, "
+          f"{failed} with a different exit code or stderr")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
