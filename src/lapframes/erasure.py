@@ -13,15 +13,18 @@ Phi B (``Frame.certificate``) is over ``DUAL_TOL`` or whose Phi has an
 entry over ``DUAL_TOL`` outside its component blocks (``Frame.off_block``):
 that diagonal and those checks are what ``verify`` measures of C_0.
 ``blocks`` alone forms C[s, s], a chunk of sets at a time, in that one form
-at every order; the order decides only which entries of X are formed: at
-r = 1 only X[i, B(i)] = phi_i^H v + C_0[i, i] - 1, v_a being V[a,
-component of row a] (O(n k), no n x n or n x m array), at r >= 2 all of X.
-The pass of ``shifted_radii``, which ``search`` calls for thousands of
-duals, is built with ``hold``: it measures every set's index of
-X[s, B(s)] once, a chunk at a time, and keeps it (at most 32 MB, since
-that evaluator takes r <= 2). ``worst_radius``'s pass, which evaluates one
-dual, measures it per chunk, so memory stays flat. The pass takes its
-shifts as a B x k x m batch of matrices V.
+at every order. The order picks only the rows of a B x R x k stack, and one
+product forms X, each row its own 1 x k by k x n product: at r = 1 one row
+per dual, v_a = V[a, component of row a], giving only X[i, B(i)] (O(n k),
+no n x n or n x m array), at r >= 2 the m columns nu_j of each of the B
+shift matrices V. So every row runs the same BLAS kernel at any batch size,
+order or m, and a dual's X, C[s, s] and radii have the same bits alone or in
+a batch and at r = 1 as on the r = 2 diagonal (the rows differ only where
+Phi is exactly zero). The pass of ``shifted_radii``, which ``search`` calls
+for thousands of duals, is built with ``hold``: it measures every set's
+index of X[s, B(s)] once, a chunk at a time, and keeps it (at most 32 MB,
+since that evaluator takes r <= 2). ``worst_radius``'s pass, which
+evaluates one dual, measures it per chunk, so memory stays flat.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .linalg import require_finite, small_complex_eigenvalues
 
 TIE_TOL = 1e-10
 MAX_SETS = 10**6
-CHUNK_ENTRIES = 1 << 15  # complex entries of W and of C[s, s] per chunk
+CHUNK_ENTRIES = 1 << 15  # complex entries of X and of C[s, s] per chunk
 
 
 class EnumerationCapError(ValueError):
@@ -100,10 +103,9 @@ class _RadiusPass:
         if not f.off_block <= DUAL_TOL:
             raise ValueError(f"not a Laplacian frame: Phi has an entry of modulus {f.off_block:.3e} outside "
                              f"its component blocks (tolerance {DUAL_TOL:g})")
-        self.r, self.k, self.n, m = r, f.k, f.n, f.layout.m
+        self.r, self.n, m = r, f.n, f.layout.m
         self.phi_bar = f.analysis.T  # conj(Phi), k x n
-        # the order's one choice, which entries of X are formed: all at r >= 2, only each (i, B(i)) at
-        # r = 1, kept in one column and read through v_a = V[a, component of row a] in a row-major V
+        # at r = 1 one row, v_a = V[a, component of row a] in a row-major V: X holds only (i, B(i))
         self.column = f.block  # the column of X that holds (i, B(i))
         if r == 1:
             self.own = np.arange(f.k) * m + np.repeat(np.arange(m), np.asarray(f.layout.sizes) - 1)
@@ -128,10 +130,9 @@ class _RadiusPass:
     def shifts(self, v: np.ndarray) -> np.ndarray:
         """X for each matrix of a B x k x m batch of shifts V, each row X^T
         row-major: B x n entries X[i, B(i)] at r = 1, else B x mn."""
-        if self.r == 1:
-            x = v.reshape(len(v), -1).take(self.own, axis=1) @ self.phi_bar
-        else:  # W, from the columns nu_j
-            x = (v.transpose(0, 2, 1).reshape(-1, self.k) @ self.phi_bar).reshape(len(v), -1)
+        # each row alone, and contiguous: a strided row can take another BLAS path
+        rows = v.reshape(len(v), 1, -1).take(self.own, axis=2) if self.r == 1 else v.transpose(0, 2, 1).copy()
+        x = (rows[:, :, None, :] @ self.phi_bar).reshape(len(v), -1)
         x += self.offset
         return x
 

@@ -132,9 +132,9 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
     and 1 at r = 2, which the canonical dual attains; its role is to try to
     falsify those laws, so an ``improved`` result would be a counterexample.
 
-    Nelder-Mead works in 2*m*k real coordinates [Re nu_1, Im nu_1, Re nu_2,
-    ...], nu_j being column j of the k x m shifts V; they are read as V
-    here, once per batch, and nowhere else. The canonical point is
+    Nelder-Mead works in 2*m*k real coordinates, the row-major float view
+    of the k x m shifts V, [Re V[0, 0], Im V[0, 0], Re V[0, 1], ...], so a
+    batch of points is read as V with no copy. The canonical point is
     evaluated, then per-axis sweeps of the coarse grid (a full Cartesian
     grid is hopeless at 2*m*k dimensions). Nelder-Mead then starts from the
     canonical point, from the three best grid points and last from one
@@ -163,12 +163,10 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
     samples: list[tuple[np.ndarray, float]] = []
 
     evaluate = shifted_radii(f, r)
-    real = np.arange(m) * 2 * k + np.arange(k)[:, None]  # where Re V[a, j] is; Im V[a, j] is k later
-    interleaved = np.stack([real, real + k], axis=-1).reshape(-1)  # V row-major as [re, im] pairs
 
     def shifts(x: np.ndarray) -> np.ndarray:
         """The k x m shifts of every point of x (..., 2mk) as (..., k, m)."""
-        return x.take(interleaved, axis=-1).view(complex).reshape(*x.shape[:-1], k, m)
+        return x.view(complex).reshape(*x.shape[:-1], k, m)
 
     def objective(xs: np.ndarray) -> np.ndarray:
         nonlocal evaluations

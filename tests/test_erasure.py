@@ -414,23 +414,29 @@ def test_shifted_radii_match_worst_radius(monkeypatch, graph, r, chunk):
     got = evaluate(v)
     assert got.shape == (30,)
     assert np.all(np.abs(got - want) <= 1e-12 * want)
-    single = np.array([evaluate(one[None])[0] for one in v[:5]])
-    assert np.all(np.abs(single - want[:5]) <= 1e-12 * want[:5])
+    assert [evaluate(one[None])[0] for one in v[:5]] == got[:5].tolist()
 
 
 @pytest.mark.parametrize("graph", ["connected", "disconnected"])
 def test_shifted_radii_equal_worst_radius_bit_for_bit(monkeypatch, graph):
     # 10 pairs per chunk, so the sets span several chunks; the evaluator's
-    # pass keeps every chunk's X index, worst_radius's measures it per chunk
+    # pass keeps every chunk's X index, worst_radius's measures it per chunk.
+    # Each row of X is its own product, so a dual's X, and so its radius,
+    # has the same bits alone and in a batch, from either entry point
     monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 40)
     rng = np.random.default_rng(97)
     g = random_connected_graph(rng, (12, 12)) if graph == "connected" else random_disconnected_graph(rng, (3, 3), (4, 5))
     f = frame_from_graph(g)
     assert comb(f.n, 2) > 3 * 10
     v = np.stack([random_dual_params(f, rng, scale=scale) for scale in (0.01, 0.1, 1.0, 10.0) * 4])
-    evaluate = erasure.shifted_radii(f, 2)
-    for got in (evaluate(v), evaluate(v)):
-        assert got.tolist() == [worst_radius(f, dual_from_params(f, one), 2).radius for one in v]
+    for r in (1, 2):
+        rp = erasure._RadiusPass(f, r)
+        assert np.array_equal(rp.shifts(v), np.concatenate([rp.shifts(one[None]) for one in v]))
+        want = [worst_radius(f, dual_from_params(f, one), r).radius for one in v]
+        evaluate = erasure.shifted_radii(f, r)
+        for got in (evaluate(v), evaluate(v)):
+            assert got.tolist() == want
+        assert [evaluate(v[i:i + 1])[0] for i in range(len(v))] == want
 
 
 def test_worst_radius_pass_keeps_nothing(monkeypatch, k3k2_frame):
@@ -527,12 +533,10 @@ def test_radius_pass_refuses_rows_outside_their_component(r):
 @pytest.mark.parametrize("graph", ["connected", "disconnected"])
 def test_order_one_blocks_are_the_diagonals_of_order_two(graph):
     # one form at every order: C[i, i] = 1 + X[i, B(i)] at r = 1 is the same
-    # number as in every r = 2 block holding i. numpy runs a one-row product
-    # through BLAS gemv and a longer one through gemm, so a single dual on a
-    # disconnected graph (m rows at r = 2) may differ in the last bits there,
-    # and every batch of two or more duals agrees bit for bit
+    # number as in every r = 2 block holding i, bit for bit, for a single
+    # dual and for a batch: each row of X is its own product, and r = 1's row
+    # differs from r = 2's column B(i) only where Phi holds exact zeros
     rng = np.random.default_rng(101)
-    eps = np.finfo(float).eps
     for _ in range(12):
         if graph == "connected":
             f = frame_from_graph(random_connected_graph(rng, (3, 12)))
@@ -543,11 +547,7 @@ def test_order_one_blocks_are_the_diagonals_of_order_two(graph):
         one, two = worst_radius(f, dual, 1), worst_radius(f, dual, 2)
         c1, c2 = one.blocks(0, f.n)[:, 0, 0], two.blocks(0, len(two.sets))
         for p in range(2):
-            got, want = c2[:, p, p], c1[two.sets[:, p]]
-            if f.layout.m == 1:
-                assert np.array_equal(got, want)
-            else:
-                assert np.all(np.abs(got - want) <= 8 * eps * (1 + np.abs(want)))
+            assert np.array_equal(c2[:, p, p], c1[two.sets[:, p]])
         assert abs(one.radius - cross_gramian_radius(f, dual, 1)) <= 1e-12 * one.radius
         passes = [erasure._RadiusPass(f, r) for r in (1, 2)]
         c1, c2 = (rp.blocks(rp.shifts(v), 0, len(rp.sets)) for rp in passes)

@@ -176,10 +176,10 @@ def test_search_checks_each_dual_once(monkeypatch, k3k2_frame):
 
 
 @pytest.mark.parametrize("text, r, evaluations, best_rho", [
-    (K3K2_TEXT, 1, 2091, 0.6666666666666666),
-    (K3K2_TEXT, 2, 209, 1.0),
-    (K4_TEXT, 1, 1809, 0.7500000000000001),
-    (K4_TEXT, 2, 133, 1.0),
+    (K3K2_TEXT, 1, 2068, 0.6666666666666666),
+    (K3K2_TEXT, 2, 265, 1.0),
+    (K4_TEXT, 1, 1844, 0.7500000000000001),
+    (K4_TEXT, 2, 115, 1.0),
 ], ids=["k3k2-1", "k3k2-2", "k4-1", "k4-2"])
 def test_search_trajectory_is_pinned(text, r, evaluations, best_rho):
     """The search's exact path, so a change to its evaluator cannot move it

@@ -10,18 +10,26 @@ under each, as ``python -m lapframes ...`` with that tree first on
 * six fixtures (k3k2, k3, k4, one edge, ``n 3`` with one edge, K3 + K2 +
   a singleton) with ``build``, ``dual``, ``verify``, ``rho -r 1`` and
   ``-r 2`` plain and with ``-v``, and ``search -r 1`` and ``-r 2``;
+* K3 + K2 + a singleton with the fixed shifts ``K3K2K1_PARAMS``: ``dual``,
+  and ``rho -r 1``, ``-r 2`` and ``-r 3``, plain and with ``-v``;
+* ``reproduce``, ``reproduce --json`` and ``reproduce --tol 0``;
 * round 0 of seeds 1 and 2 of every benchmark workload, written by
   ``perfbench/workloads.write_inputs``: each query of the round, ``-v`` of
   each ``rho``, ``-r 1`` (plain and ``-v``) of each ``rho`` with
-  ``--params``, and ``verify`` of each ``frame-build`` graph.
+  ``--params``, ``verify`` of each ``frame-build`` graph, and ``rho -r 2``
+  (plain and ``-v``) of each ``SHIFTED`` graph with seeded shifts of scale
+  ``SHIFT_SCALE``, written here.
 
 For each command whose stdout, stderr or exit code differs it prints the
 exit codes, whether stderr differs, the JSON keys whose values differ (list
 indices written as ``[]``), each value old -> new when at most ``SHOWN``
-differ, and the largest relative move of a number, with its path. It
-exits 1 when any exit code or stderr differs, else 0; stdout moves are
-reported for the reader to judge. Nothing under ``perfbench/`` is
-written; the inputs go to a temporary directory.
+differ, and the largest relative move of a number, with its path. For a
+``search`` whose stdout moved it also applies the search gate: it prints
+``evaluations a -> b``, and an ``improved`` flip or a ``best_rho`` move
+over ``SEARCH_TOL`` fails. It exits 1 when any exit code or stderr differs
+or a search fails its gate, else 0; other stdout moves are reported for the
+reader to judge. Nothing under ``perfbench/`` is written; the inputs go to
+a temporary directory.
 """
 
 from __future__ import annotations
@@ -36,9 +44,12 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
 SHOWN = 3  # differing values printed old -> new when no more differ
+SEARCH_TOL = 1e-12  # the largest best_rho move the search gate allows
 FIXTURES = {
     "k3k2": "n 5\n1 2\n1 3\n2 3\n4 5\n",
     "k3": "n 3\n1 2\n1 3\n2 3\n",
@@ -50,6 +61,13 @@ FIXTURES = {
 FIXTURE_COMMANDS = (["build"], ["dual"], ["verify"], ["rho", "-r", "1"], ["rho", "-r", "2"],
                     ["rho", "-r", "1", "-v"], ["rho", "-r", "2", "-v"], ["search", "-r", "1"],
                     ["search", "-r", "2"])
+# V's three columns (one per component of k3k2k1, k = 3) as [re, im] pairs
+K3K2K1_PARAMS = [[[0.37, -0.21], [-0.58, 0.44], [0.13, 0.29]],
+                 [[-0.26, 0.71], [0.49, -0.17], [0.82, 0.05]],
+                 [[0.31, 0.62], [-0.43, -0.38], [0.27, -0.91]]]
+PARAMS_COMMANDS = (["dual"], *(["rho", "-r", r, *v] for r in "123" for v in ([], ["-v"])))
+SHIFTED = ("d40", "d60", "d80")  # erasure-verify graphs of several components
+SHIFT_SCALE = 0.3
 
 
 def gate_set(work: Path) -> list[tuple[Path, list[str]]]:
@@ -63,10 +81,14 @@ def gate_set(work: Path) -> list[tuple[Path, list[str]]]:
     for name, text in FIXTURES.items():
         (fixtures / f"{name}.el").write_text(text, encoding="utf-8")
         commands += [(fixtures, [cmd[0], f"{name}.el", *cmd[1:]]) for cmd in FIXTURE_COMMANDS]
+    (fixtures / "k3k2k1.params.json").write_text(json.dumps(K3K2K1_PARAMS), encoding="utf-8")
+    commands += [(fixtures, [cmd[0], "k3k2k1.el", *cmd[1:], "--params", "k3k2k1.params.json"])
+                 for cmd in PARAMS_COMMANDS]
+    commands += [(fixtures, ["reproduce", *flags]) for flags in ([], ["--json"], ["--tol", "0"])]
     for workload in WORKLOADS.values():
         for seed in SEEDS:
             directory = work / f"{workload.name}-seed{seed}"
-            write_inputs(workload, seed, 0, directory)
+            graphs = write_inputs(workload, seed, 0, directory)
             argvs = []
             for q in workload.queries:
                 argv = q.argv()
@@ -78,6 +100,12 @@ def gate_set(work: Path) -> list[tuple[Path, list[str]]]:
                         argvs += [one, one + ["-v"]]
             if workload.name == "frame-build":
                 argvs += [["verify", f"{g.name}.el"] for g in workload.graphs]
+            for i, name in enumerate(SHIFTED if workload.name == "erasure-verify" else ()):
+                g, rng = graphs[name], np.random.default_rng([seed, i])
+                columns = SHIFT_SCALE * rng.normal(size=(len(g.blocks), g.n - len(g.blocks), 2))
+                (directory / f"{name}.params.json").write_text(json.dumps(columns.tolist()), encoding="utf-8")
+                two = ["rho", f"{name}.el", "-r", "2", "--params", f"{name}.params.json"]
+                argvs += [two, two + ["-v"]]
             seen = set()
             for argv in argvs:
                 if tuple(argv) not in seen:
@@ -136,6 +164,23 @@ def compare(old, new) -> list[str]:
     return lines
 
 
+def search_gate(old_out: str, new_out: str) -> tuple[list[str], bool]:
+    """Lines on one ``search`` command's two stdouts under the search gate,
+    and whether it fails: an ``improved`` flip or a ``best_rho`` move over
+    ``SEARCH_TOL``. ``evaluations`` is free and only reported."""
+    try:
+        old, new = json.loads(old_out), json.loads(new_out)
+    except json.JSONDecodeError:
+        return ["  search stdout is not JSON"], True
+    lines = [f"  evaluations {old['evaluations']} -> {new['evaluations']}"]
+    if old["improved"] != new["improved"]:
+        lines.append(f"  search gate: improved {json.dumps(old['improved'])} -> {json.dumps(new['improved'])}")
+    move = abs(new["best_rho"] - old["best_rho"])
+    if not move <= SEARCH_TOL:
+        lines.append(f"  search gate: best_rho moved by {move:.3g}, over {SEARCH_TOL:g}")
+    return lines, len(lines) > 1
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: " + __doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -155,13 +200,16 @@ def main(argv: list[str]) -> int:
         for (directory, args), a, b in zip(commands, old, new):
             if a == b:
                 continue
-            hard = a[0] != b[0] or a[2] != b[2]
+            lines, hard = compare(a, b), a[0] != b[0] or a[2] != b[2]
+            if args[0] == "search" and not hard:
+                gated, hard = search_gate(a[1], b[1])
+                lines += gated
             failed += hard
             moved += not hard
             print(f"{'FAIL' if hard else 'MOVE'} {directory.relative_to(work)}: lapframes {' '.join(args)}")
-            print("\n".join(compare(a, b)))
+            print("\n".join(lines))
     print(f"{len(commands)} commands: {len(commands) - failed - moved} identical, {moved} with stdout moves, "
-          f"{failed} with a different exit code or stderr")
+          f"{failed} failing (a different exit code or stderr, or a search outside its gate)")
     return 1 if failed else 0
 
 
