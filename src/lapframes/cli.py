@@ -4,7 +4,7 @@ Subcommands: build, dual, rho, verify, search, reproduce. All reports are
 JSON on standard output (or --output <path>) with a top-level schema field;
 their numbers reach the writer as ndarrays (complex ones as [re, im] pairs
 from ``frames.pairs``), and ``rho -v``'s per-set reports are formatted here
-from the arrays of the radius pass, a chunk of sets at a time. One
+from the radius pass's radii and chunks, a chunk of sets at a time. One
 streaming writer, the generator ``_pieces``, yields the text of
 ``json.dumps(payload, indent=2)`` in order, where an array stands for its
 ``tolist()`` and an iterator for a list: each array is written in pieces of
@@ -101,20 +101,19 @@ def set_reports(result: RhoResult, k: int) -> Iterator[dict]:
     lexicographic order: the 1-based set, its radius, its spectrum sorted by
     magnitude (stable) and padded with zeros or cut to k entries (the
     surplus of r > k being structural zeros of a rank <= k operator), and
-    its r x r matrix C[s, s], formed again by the pass. The spectra are
-    sorted, padded and paired, and the matrices formed, a chunk of sets at a
-    time, about ``ENCODE_NUMBERS`` numbers, so no N x k or N x r x r array
-    is held."""
-    sets, spectra = result.sets, result.spectra
+    its r x r matrix C[s, s]. Matrices and spectra are formed again by the
+    pass a chunk of sets at a time, about ``ENCODE_NUMBERS`` numbers, so no
+    N x k, N x r or N x r x r array is held."""
+    sets = result.sets
     span = max(1, ENCODE_NUMBERS // (2 * k))
     for lo in range(0, len(sets), span):
-        chunk = spectra[lo:lo + span]
-        by_mag = np.take_along_axis(chunk, np.argsort(-np.abs(chunk), axis=1, kind="stable"), axis=1)
-        eigenvalues = np.zeros((len(chunk), k), dtype=complex)
+        blocks, spectra = result.chunk(lo, lo + span)
+        by_mag = np.take_along_axis(spectra, np.argsort(-np.abs(spectra), axis=1, kind="stable"), axis=1)
+        eigenvalues = np.zeros((len(spectra), k), dtype=complex)
         eigenvalues[:, :min(k, sets.shape[1])] = by_mag[:, :k]
         for lam, radius, eigs, mat in zip(
-            (sets[lo:lo + span] + 1).tolist(), np.max(np.abs(chunk), axis=1).tolist(),
-            pairs(eigenvalues), pairs(result.blocks(lo, lo + span)),
+            (sets[lo:lo + span] + 1).tolist(), result.radii[lo:lo + span].tolist(),
+            pairs(eigenvalues), pairs(blocks),
         ):
             yield {"lambda": lam, "radius": radius, "eigenvalues": eigs, "reduced": mat}
 

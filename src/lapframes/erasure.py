@@ -12,19 +12,18 @@ C_0's measured diagonal, and refuses a frame whose k is not n - m, whose
 Phi B (``Frame.certificate``) is over ``DUAL_TOL`` or whose Phi has an
 entry over ``DUAL_TOL`` outside its component blocks (``Frame.off_block``):
 that diagonal and those checks are what ``verify`` measures of C_0.
-``blocks`` alone forms C[s, s], a chunk of sets at a time, in that one form
-at every order. The order picks only the rows of a B x R x k stack, and one
-product forms X, each row its own 1 x k by k x n product: at r = 1 one row
-per dual, v_a = V[a, component of row a], giving only X[i, B(i)] (O(n k),
-no n x n or n x m array), at r >= 2 the m columns nu_j of each of the B
-shift matrices V. So every row runs the same BLAS kernel at any batch size,
-order or m, and a dual's X, C[s, s] and radii have the same bits alone or in
-a batch and at r = 1 as on the r = 2 diagonal (the rows differ only where
-Phi is exactly zero). The pass of ``shifted_radii``, which ``search`` calls
-for thousands of duals, is built with ``hold``: it measures every set's
-index of X[s, B(s)] once, a chunk at a time, and keeps it (at most 32 MB,
-since that evaluator takes r <= 2). ``worst_radius``'s pass, which
-evaluates one dual, measures it per chunk, so memory stays flat.
+``chunk`` alone forms C[s, s] and its spectra, a chunk of sets at a time,
+in that one form at every order, for ``worst`` and ``worst_radius`` alike.
+The order picks only the rows of a B x R x k stack, and one product forms
+X, each row its own 1 x k by k x n product: at r = 1 one row per dual,
+v_a = V[a, component of row a], giving only X[i, B(i)] (O(n k), no n x n
+or n x m array), at r >= 2 the m columns nu_j of each of the B shift
+matrices V. So every row runs the same BLAS kernel at any batch size,
+order or m, and a dual's X, C[s, s] and radii have the same bits alone or
+in a batch and at r = 1 as on the r = 2 diagonal (the rows differ only
+where Phi is exactly zero). A pass at r <= 2 measures every set's X index
+once, when built, and keeps it (8 r^2 bytes a set, at most 32 MB); at
+r >= 3 it measures it per chunk, so memory stays flat.
 """
 
 from __future__ import annotations
@@ -49,16 +48,23 @@ class EnumerationCapError(ValueError):
 
 
 class RhoResult(NamedTuple):
-    """The worst radius of one (dual, r) pass, its N x r 0-based ``sets``
-    in lexicographic order, their N x r ``spectra`` and N ``radii``,
-    and ``blocks(lo, hi)``, which forms C[s, s] of sets lo:hi ((hi - lo) x r
-    x r) again from the pass."""
+    """The worst radius of one (dual, r) pass, its N x r 0-based ``sets`` in
+    lexicographic order and their N ``radii``; no spectrum is kept, and
+    ``chunk(lo, hi)`` forms C[s, s] of sets lo:hi and their spectra again."""
 
     radius: float
     sets: np.ndarray
-    spectra: np.ndarray
     radii: np.ndarray
-    blocks: Callable[[int, int], np.ndarray]
+    chunk: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+
+    @property
+    def spectra(self) -> np.ndarray:
+        """The N x r spectra of C[s, s], formed again a chunk of sets at a time."""
+        spectra = np.empty(self.sets.shape, dtype=complex)
+        span = max(1, CHUNK_ENTRIES // spectra.shape[1] ** 2)  # the pass's sets per chunk
+        for lo in range(0, len(spectra), span):
+            spectra[lo:lo + span] = self.chunk(lo, lo + span)[1]
+        return spectra
 
     @property
     def witness(self) -> tuple[int, ...]:
@@ -95,7 +101,7 @@ def _erasure_sets(n: int, r: int) -> np.ndarray:
 class _RadiusPass:
     """The order-r radius pass of one Laplacian frame (see the module docstring)."""
 
-    def __init__(self, f: Frame, r: int, hold: bool = False):
+    def __init__(self, f: Frame, r: int):
         self.sets = sets = _erasure_sets(f.n, r)
         if f.k != f.n - f.layout.m or not f.certificate.block_sums_norm <= DUAL_TOL:
             raise ValueError(f"not a Laplacian frame: k = {f.k} and n - m = {f.n - f.layout.m}, Phi B has "
@@ -115,12 +121,11 @@ class _RadiusPass:
         self.offset = np.zeros((self.column[-1] + 1) * f.n, dtype=complex)  # X's columns, n entries each
         self.offset[self.column * f.n + np.arange(f.n)] = diagonal - 1
         self.span = max(1, CHUNK_ENTRIES // (r * r))  # sets per chunk
-        self.held = None  # every set's X index, measured a chunk at a time, in a holding pass
-        if hold:
+        self.held = None  # at r <= 2 every set's X index, measured a chunk at a time
+        if r <= 2:
             self.held = np.empty((len(sets), r, r), dtype=np.intp)
             for lo in range(0, len(sets), self.span):
                 self.held[lo:lo + self.span] = self._measure(sets[lo:lo + self.span])
-        # duals per chunk
         self.rows = max(1, CHUNK_ENTRIES // (len(self.offset) + min(len(sets), self.span) * r * r))
 
     def _measure(self, s: np.ndarray) -> np.ndarray:
@@ -136,13 +141,13 @@ class _RadiusPass:
         x += self.offset
         return x
 
-    def blocks(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    def chunk(self, x: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """C[s, s] = I + X[s, B(s)] of sets lo:hi for every row of ``shifts``'
-        X: B x (hi - lo) x r x r."""
+        X, B x (hi - lo) x r x r, and their spectra, B x (hi - lo) x r."""
         c = x.take(self._measure(self.sets[lo:hi]) if self.held is None else self.held[lo:hi], axis=1)
         for i in range(self.r):  # I, in place: a broadcast sum would allocate a second stack
             c[..., i, i] += 1
-        return c
+        return c, small_complex_eigenvalues(c)
 
     def worst(self, v: np.ndarray) -> np.ndarray:
         """Each dual's largest radius over all sets, ``rows`` duals at a time."""
@@ -151,8 +156,7 @@ class _RadiusPass:
         x = self.shifts(v)
         radii = np.zeros(len(v))
         for lo in range(0, len(self.sets), self.span):
-            spectra = small_complex_eigenvalues(self.blocks(x, lo, lo + self.span))
-            np.maximum(radii, np.abs(spectra).max(axis=(1, 2)), out=radii)
+            np.maximum(radii, np.abs(self.chunk(x, lo, lo + self.span)[1]).max(axis=(1, 2)), out=radii)
         return radii
 
 
@@ -164,21 +168,20 @@ def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
     rp = _RadiusPass(f, r)
     require_finite(d.shifts)
     x = rp.shifts(d.shifts[None])
-    spectra = np.empty(rp.sets.shape, dtype=complex)
+    radii = np.empty(len(rp.sets))  # one radius per set
     for lo in range(0, len(rp.sets), rp.span):
-        spectra[lo:lo + rp.span] = small_complex_eigenvalues(rp.blocks(x, lo, lo + rp.span))[0]
-    radii = np.abs(spectra).max(axis=1)  # one radius per set
-    return RhoResult(float(radii.max()), rp.sets, spectra, radii, lambda lo, hi: rp.blocks(x, lo, hi)[0])
+        radii[lo:lo + rp.span] = np.abs(rp.chunk(x, lo, lo + rp.span)[1][0]).max(axis=1)
+    return RhoResult(float(radii.max()), rp.sets, radii, lambda lo, hi: tuple(a[0] for a in rp.chunk(x, lo, hi)))
 
 
 def shifted_radii(f: Frame, r: int) -> Callable[[np.ndarray], np.ndarray]:
     """The evaluator of order-r worst radii, r in {1, 2}, of the duals
     Psi_canonical + V B^T: it maps a B x k x m batch of shifts V to their B
     radii, after ``frames.check_shifts`` has decided duality for the batch.
-    The frame's order-r pass is built once, here, with ``hold``."""
+    The frame's order-r pass, which holds its X index, is built once, here."""
     if r not in (1, 2):
         raise ValueError(f"shifted radii cover erasure orders 1 and 2, got {r}")
-    rp = _RadiusPass(f, r, hold=True)
+    rp = _RadiusPass(f, r)
     shape = (f.k, f.layout.m)
 
     def evaluate(v: np.ndarray) -> np.ndarray:

@@ -5,12 +5,12 @@ alternate optimal duals for multi-component graphs, a derivative-free search
 over the whole dual family, and a strictness probe that certifies uniqueness
 for single-component graphs. ``verify_order`` reads each order's
 per-component laws from the canonical dual's radius pass (``worst_radius``
-returns C's principal-submatrix spectra) and an alternate dual's radius
-from ``shifted_radii``, and runs the order-independent probe once per
-call. The search's restart comes from ``random.Random``, the probe's
-trials from numpy's seeded PCG64. Every refusal is a
-``ValueError``, ``SearchBudgetError`` included; a bad order, seed or
-negative budget is refused before any work.
+keeps each set's radius and forms C's principal-submatrix spectra again on
+request) and an alternate dual's radius from ``shifted_radii``, and runs
+the order-independent probe once per call. The search's restart comes
+from ``random.Random``, the probe's trials from numpy's seeded PCG64.
+Every refusal is a ``ValueError``, ``SearchBudgetError`` included; a bad
+order, seed or negative budget is refused before any work.
 """
 
 from __future__ import annotations
@@ -288,24 +288,22 @@ def _order_report(f: Frame, r: int, probe: ProbeReport | None) -> OptimalityRepo
     extras: dict = {"witness": list(result.witness)}
     witnesses: list[np.ndarray] = [canon.shifts]
 
-    # the per-component laws, read off the pass's spectra of C[s, s]
+    # the per-component laws, read off the pass's radii and spectra of C[s, s]
     sizes, offsets = f.layout.sizes, f.layout.offsets
     if r == 1:
-        pairings = np.abs(result.spectra[:, 0])
-        for j, s in enumerate(sizes):
-            worst = float(np.max(np.abs(pairings[offsets[j]:offsets[j + 1]] - (s - 1) / s)))
+        for j, s in enumerate(sizes):  # at r = 1 each radius is a pairing |C[i, i]|
+            worst = float(np.max(np.abs(result.radii[offsets[j]:offsets[j + 1]] - (s - 1) / s)))
             details.append(
                 _detail(f"component {j + 1} pairings equal {s - 1}/{s}", 0.0, worst, RADIUS_TOL)
             )
     else:
         comp = f.block[result.sets]  # component of each index
         inside = comp[:, 0] == comp[:, 1]
-        spectra, comp = result.spectra[inside], comp[inside, 0]
+        got, comp = np.sort(result.spectra[inside].real, axis=1)[:, ::-1], comp[inside, 0]
         for j, s in enumerate(sizes):
             if s < 2:
                 continue
-            got = np.sort(spectra[comp == j].real, axis=1)[:, ::-1]
-            worst = float(np.max(np.abs(got - [1.0, (s - 2) / s])))
+            worst = float(np.max(np.abs(got[comp == j] - [1.0, (s - 2) / s])))
             details.append(
                 _detail(f"component {j + 1} pair spectra equal (1, {s - 2}/{s})", 0.0, worst, SPECTRUM_TOL)
             )

@@ -339,7 +339,8 @@ def _per_set_docs(result, k):
     objects did: spectrum sorted by magnitude (stable), zero-padded or cut to
     k entries, and the pass's own C[s, s]."""
     docs = []
-    for cols, eigs, block in zip(result.sets, result.spectra, result.blocks(0, len(result.sets))):
+    blocks, spectra = result.chunk(0, len(result.sets))
+    for cols, eigs, block in zip(result.sets, spectra, blocks):
         by_mag = eigs[np.argsort(-np.abs(eigs), kind="stable")]
         spectrum = np.concatenate([by_mag, np.zeros(k, dtype=complex)])[:k]
         docs.append({

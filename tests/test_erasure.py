@@ -78,7 +78,7 @@ def test_reduced_matrix_first_pair(explicit):
     f, canon = explicit
     result = worst_radius(f, canon, 2)
     assert result.sets[0].tolist() == [0, 1]
-    reduced = result.blocks(0, 1)[0]
+    reduced = result.chunk(0, 1)[0][0]
     assert np.max(np.abs(reduced - np.array([[2 / 3, -1 / 3], [-1 / 3, 2 / 3]]))) <= 1e-12
     assert_multiset_close(result.spectra[0], [1.0, 1 / 3], tol=1e-12)
 
@@ -88,7 +88,7 @@ def test_reduced_matrix_second_block_pair(explicit):
     f, canon = explicit
     result = worst_radius(f, canon, 2)
     assert result.sets[-1].tolist() == [3, 4]
-    reduced = result.blocks(len(result.sets) - 1, len(result.sets))[0]
+    reduced = result.chunk(len(result.sets) - 1, len(result.sets))[0][0]
     assert np.max(np.abs(reduced - np.array([[0.5, -0.5], [-0.5, 0.5]]))) <= 1e-12
     assert_multiset_close(result.spectra[-1], [1.0, 0.0], tol=1e-12)
 
@@ -96,7 +96,7 @@ def test_reduced_matrix_second_block_pair(explicit):
 def test_reduced_matrix_singletons_are_pairings(explicit):
     f, canon = explicit
     pairings = np.sum(f.synthesis.conj() * canon.vectors, axis=0)
-    reduced = worst_radius(f, canon, 1).blocks(0, 5)
+    reduced = worst_radius(f, canon, 1).chunk(0, 5)[0]
     assert reduced.shape == (5, 1, 1)
     assert np.max(np.abs(reduced[:, 0, 0] - pairings)) <= 1e-12
 
@@ -131,10 +131,11 @@ def test_worst_radius_r1_reads_the_diagonal_of_c(k3k2_frame):
     f = k3k2_frame
     dual = dual_from_params(f, random_dual_params(f, np.random.default_rng(73), scale=2.0))
     result = worst_radius(f, dual, 1)
-    diagonal = result.blocks(0, f.n)[:, 0, 0]  # the pass's own C[i, i]
+    diagonal = result.chunk(0, f.n)[0][:, 0, 0]  # the pass's own C[i, i]
     assert np.max(np.abs(diagonal - np.diagonal(f.analysis @ dual.vectors))) <= 1e-12
     assert result.spectra.shape == (f.n, 1)
     assert np.array_equal(result.spectra[:, 0], diagonal)
+    assert np.array_equal(result.radii, np.abs(diagonal))  # what verify's pairings law reads
     assert result.radius == float(np.abs(diagonal).max())
     assert result.witness == (int(np.abs(diagonal).argmax()) + 1,)
 
@@ -368,9 +369,10 @@ def test_worst_radius_memory_stays_flat():
 
 
 def test_worst_radius_memory_stays_flat_across_chunks():
-    # 117 480 triples in 33 chunks; the X index kept for every set at once
-    # traced 19.9 MiB here, against 11.9 MiB gathered per chunk, and the
-    # bound lies between them
+    # 117 480 triples in 33 chunks; the X index measured per chunk and one
+    # radius kept per set traced 7.4 MiB here, against 11.9 MiB when the
+    # N x 3 spectra and their moduli were kept too (19.9 MiB with the X index
+    # of every set held as well), and the bound lies between them
     rng = np.random.default_rng(71)
     f = frame_from_graph(random_graph(90, rng, p=0.3))
     dual = dual_from_params(f, random_dual_params(f, rng, scale=1.0))
@@ -381,7 +383,7 @@ def test_worst_radius_memory_stays_flat_across_chunks():
     finally:
         tracemalloc.stop()
     assert len(result.sets) > 30 * erasure.CHUNK_ENTRIES // 9
-    assert peak < 16 * 2**20
+    assert peak < 10 * 2**20
 
 
 def _radii_oracle(f, shifts, r):
@@ -440,17 +442,39 @@ def test_shifted_radii_equal_worst_radius_bit_for_bit(monkeypatch, graph):
 
 
 def test_worst_radius_pass_keeps_nothing(monkeypatch, k3k2_frame):
-    # worst_radius's pass serves one dual: the pass and each call of its
-    # blocks measure the X index of the chunks they read and keep none
-    monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 12)  # 3 pairs per chunk, 4 chunks
+    # at r >= 3 the pass measures the X index of the chunks it reads, at
+    # build and at each call of its view, and keeps none
+    monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 27)  # 3 triples per chunk, 4 chunks
     calls = []
     measure = erasure._RadiusPass._measure
     monkeypatch.setattr(erasure._RadiusPass, "_measure", lambda rp, s: calls.append(len(s)) or measure(rp, s))
-    result = worst_radius(k3k2_frame, k3k2_frame.canonical, 2)
+    result = worst_radius(k3k2_frame, k3k2_frame.canonical, 3)
     for _ in range(2):
         for lo in range(0, len(result.sets), 3):
-            result.blocks(lo, lo + 3)
+            result.chunk(lo, lo + 3)
     assert calls == [3, 3, 3, 1] * 3
+
+
+@pytest.mark.parametrize("r, chunks", [(1, [5]), (2, [3, 3, 3, 1])])
+def test_passes_to_order_two_measure_each_chunk_once(monkeypatch, k3k2_frame, r, chunks):
+    # at r <= 2 every pass, worst_radius's and the evaluator's, measures each
+    # chunk's X index once, when it is built, and never again across
+    # repeated calls of its view, its spectra or the evaluator
+    monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 12)  # 12 singletons or 3 pairs per chunk
+    calls = []
+    measure = erasure._RadiusPass._measure
+    monkeypatch.setattr(erasure._RadiusPass, "_measure", lambda rp, s: calls.append(len(s)) or measure(rp, s))
+    f = k3k2_frame
+    result = worst_radius(f, f.canonical, r)
+    assert calls == chunks
+    for _ in range(2):
+        for lo in range(0, len(result.sets), 3):
+            result.chunk(lo, lo + 3)
+        assert result.spectra.shape == result.sets.shape
+    evaluate = erasure.shifted_radii(f, r)
+    for _ in range(2):
+        evaluate(np.zeros((2, f.k, f.layout.m)))
+    assert calls == chunks * 2
 
 
 @pytest.mark.parametrize("text, shifts, message", [
@@ -545,12 +569,12 @@ def test_order_one_blocks_are_the_diagonals_of_order_two(graph):
         v = np.stack([random_dual_params(f, rng, scale=10.0 ** rng.uniform(-2, 1)) for _ in range(3)])
         dual = dual_from_params(f, v[0])
         one, two = worst_radius(f, dual, 1), worst_radius(f, dual, 2)
-        c1, c2 = one.blocks(0, f.n)[:, 0, 0], two.blocks(0, len(two.sets))
+        c1, c2 = one.chunk(0, f.n)[0][:, 0, 0], two.chunk(0, len(two.sets))[0]
         for p in range(2):
             assert np.array_equal(c2[:, p, p], c1[two.sets[:, p]])
         assert abs(one.radius - cross_gramian_radius(f, dual, 1)) <= 1e-12 * one.radius
         passes = [erasure._RadiusPass(f, r) for r in (1, 2)]
-        c1, c2 = (rp.blocks(rp.shifts(v), 0, len(rp.sets)) for rp in passes)
+        c1, c2 = (rp.chunk(rp.shifts(v), 0, len(rp.sets))[0] for rp in passes)
         for p in range(2):
             assert np.array_equal(c2[:, :, p, p], c1[:, passes[1].sets[:, p], 0, 0])
 

@@ -340,19 +340,19 @@ def test_verify_order_disconnected(k3k2_frame):
 
 
 def test_verify_order_reads_the_alternate_through_shifted_radii(monkeypatch, k3k2_frame):
-    # per order, the canonical dual's pass and then the evaluator's holding
-    # pass, which gives the alternate witness's radius
+    # per order, the canonical dual's pass and then the evaluator's pass,
+    # which gives the alternate witness's radius; both hold their X index
     calls = []
     build = erasure._RadiusPass.__init__
 
-    def counted(self, f, r, hold=False):
-        calls.append((r, hold))
-        build(self, f, r, hold)
+    def counted(self, f, r):
+        build(self, f, r)
+        calls.append((r, self.held is not None))
 
     monkeypatch.setattr(erasure._RadiusPass, "__init__", counted)
     reports = verify_order(k3k2_frame, [1, 2])
     assert all(rep.unique == "non-unique" and rep.all_pass for rep in reports)
-    assert calls == [(1, False), (1, True), (2, False), (2, True)]
+    assert calls == [(1, True), (1, True), (2, True), (2, True)]
 
 
 def test_verify_order_degenerate_disconnected_uses_singleton_witness():

@@ -23,13 +23,14 @@ under each, as ``python -m lapframes ...`` with that tree first on
 For each command whose stdout, stderr or exit code differs it prints the
 exit codes, whether stderr differs, the JSON keys whose values differ (list
 indices written as ``[]``), each value old -> new when at most ``SHOWN``
-differ, and the largest relative move of a number, with its path. For a
-``search`` whose stdout moved it also applies the search gate: it prints
-``evaluations a -> b``, and an ``improved`` flip or a ``best_rho`` move
-over ``SEARCH_TOL`` fails. It exits 1 when any exit code or stderr differs
-or a search fails its gate, else 0; other stdout moves are reported for the
-reader to judge. Nothing under ``perfbench/`` is written; the inputs go to
-a temporary directory.
+differ, and the largest relative move of a number, with its path; a
+``[re, im]`` pair moves as one complex number z, by |dz| / max(|z_old|,
+|z_new|). For a ``search`` whose stdout moved it also applies the search
+gate: it prints ``evaluations a -> b``, and an ``improved`` flip or a
+``best_rho`` move over ``SEARCH_TOL`` fails. It exits 1 when any exit code
+or stderr differs or a search fails its gate, else 0; other stdout moves
+are reported for the reader to judge. Nothing under ``perfbench/`` is
+written; the inputs go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -121,13 +122,23 @@ def run(src: Path, directory: Path, argv: list[str]) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def _finite(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _pair(x) -> bool:
+    """Whether ``x`` is a list of two finite numbers, read as a [re, im] pair."""
+    return isinstance(x, list) and len(x) == 2 and all(map(_finite, x))
+
+
 def differences(a, b, path: str = ""):
-    """Yield (path, old, new) for every JSON leaf that differs, or for a key
-    or list that one side lacks or has at another length."""
+    """Yield (path, old, new) for every JSON leaf that differs, a [re, im]
+    pair being one leaf, or for a key or list that one side lacks or has at
+    another length."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in a.keys() | b.keys():
             yield from differences(a.get(key), b.get(key), f"{path}.{key}".lstrip("."))
-    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b) and not (_pair(a) and _pair(b)):
         for i, (x, y) in enumerate(zip(a, b)):
             yield from differences(x, y, f"{path}[{i}]")
     elif a != b:
@@ -135,10 +146,15 @@ def differences(a, b, path: str = ""):
 
 
 def _move(a, b) -> float | None:
-    """The relative move between two finite numbers, else None."""
-    if all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in (a, b)):
-        return abs(a - b) / max(abs(a), abs(b))
-    return None
+    """The relative move |a - b| / max(|a|, |b|) between two finite numbers
+    or two [re, im] pairs of them, a pair read as one complex number, else
+    None. So a sign flip of a 1e-17 imaginary part moves a pair of modulus 1
+    by 2e-17, not by 2."""
+    if _pair(a) and _pair(b):
+        a, b = complex(*a), complex(*b)
+    elif not (_finite(a) and _finite(b)):
+        return None
+    return abs(a - b) / max(abs(a), abs(b))
 
 
 def compare(old, new) -> list[str]:
