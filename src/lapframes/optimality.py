@@ -7,8 +7,9 @@ for single-component graphs. ``verify_order`` reads each order's
 per-component laws from the canonical dual's radius pass (``worst_radius``
 keeps each set's radius and forms C's principal-submatrix spectra again on
 request) and an alternate dual's radius from ``shifted_radii``, and runs
-the order-independent probe once per call. The search's restart comes
-from ``random.Random``, the probe's trials from numpy's seeded PCG64.
+the order-independent probe once per call. The search's restart and the
+probe's trials both come from the standard library's ``random.Random``, so
+no command loads ``numpy.random``.
 Every refusal is a ``ValueError``, ``SearchBudgetError`` included; a bad
 order, seed or negative budget is refused before any work.
 """
@@ -233,20 +234,23 @@ def uniqueness_probe(f: Frame, seed: int) -> ProbeReport:
 
     Only meaningful for single-component graphs, where the canonical dual is
     the unique optimum; shift norms are log-uniform over ``PROBE_NORM_RANGE``.
-    The trials are drawn one after another from one seeded stream, then
-    evaluated as one batch by ``erasure.shifted_radii``.
+    The trials come from the standard library's ``random.Random(seed)``, so
+    the probe never loads ``numpy.random``: one ``randbytes`` call gives
+    2k + 1 uniforms in [0, 1) per trial, in trial order, each a little-endian
+    64-bit word shifted right by 11. Box-Muller turns the first k and the
+    next k into a complex Gaussian direction, and the last sets the norm.
+    The trials are evaluated as one batch by ``erasure.shifted_radii``.
     """
     if f.layout.m != 1:
         raise ValueError("strictness probe requires a single-component graph")
-    rng = np.random.default_rng(seed)
-    baseline = predicted_worst_radius(f, 1)
-    lo, hi = PROBE_NORM_RANGE
-    shifts = np.empty((PROBE_TRIALS, f.k), dtype=complex)
-    for trial in shifts:
-        direction = rng.normal(size=f.k) + 1j * rng.normal(size=f.k)
-        direction /= np.linalg.norm(direction)
-        trial[:] = np.exp(rng.uniform(np.log(lo), np.log(hi))) * direction
-    excess = shifted_radii(f, 1)(shifts[:, :, None]) - baseline
+    k = f.k
+    words = np.frombuffer(random.Random(seed).randbytes(8 * PROBE_TRIALS * (2 * k + 1)), dtype="<u8")
+    u = ((words >> 11) * 2.0**-53).reshape(PROBE_TRIALS, 2 * k + 1)
+    direction = np.sqrt(-2.0 * np.log1p(-u[:, :k])) * np.exp(2j * np.pi * u[:, k:2 * k])
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    lo, hi = np.log(PROBE_NORM_RANGE)
+    shifts = np.exp(lo + (hi - lo) * u[:, 2 * k:]) * direction
+    excess = shifted_radii(f, 1)(shifts[:, :, None]) - predicted_worst_radius(f, 1)
     return ProbeReport(float(excess.min()), int((excess <= -PROBE_SLACK).sum()))
 
 

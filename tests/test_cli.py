@@ -404,24 +404,27 @@ def test_python_m_build_leaves_reproduce_unloaded(tmp_path):
 
 
 _MODULES_AFTER_MAIN = ("import sys; from lapframes.cli import main; code = main(sys.argv[1:]); "
-                       "print(code, 'numpy.random' in sys.modules, file=sys.stderr)")
+                       "print(code, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules, file=sys.stderr)")
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["search", "k4.el", "-r", "1"], False),
-    (["search", "k4.el", "-r", "2", "--seed", "3"], False),
-    (["verify", "k4.el"], True),
-], ids=["search-1", "search-2", "verify"])
-def test_python_search_leaves_numpy_random_unloaded(tmp_path, argv, loaded):
-    # search draws its restart from the standard library's random.Random;
-    # verify's uniqueness probe on a connected graph keeps numpy's generator
+@pytest.mark.parametrize("argv", [
+    ["search", "k4.el", "-r", "1"],
+    ["search", "k4.el", "-r", "2", "--seed", "3"],
+    ["verify", "k4.el"],
+    ["rho", "k4.el", "-r", "3"],
+    ["verify", "k3k2k1.el", "-r", "2"],
+], ids=["search-1", "search-2", "verify", "rho-3", "verify-disconnected"])
+def test_python_search_leaves_numpy_random_unloaded(tmp_path, argv):
+    # search's restart and verify's uniqueness probe draw from the standard
+    # library's random.Random, and no command loads numpy.ma
     (tmp_path / "k4.el").write_text(K4_TEXT)
+    (tmp_path / "k3k2k1.el").write_text("n 6\n1 2\n1 3\n2 3\n4 5\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert json.loads(done.stdout)["command"] == argv[0]
-    assert done.stderr == f"0 {loaded}\n"
+    assert done.stderr == "0 False False\n"
 
 
 def _closed_pipe():

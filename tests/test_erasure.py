@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -29,7 +30,7 @@ from lapframes.reproduce import (
     explicit_frame,
 )
 
-from conftest import EDGE_TEXT, K3K2_TEXT, assert_multiset_close, complex_of
+from conftest import EDGE_TEXT, K3K2_TEXT, K4_TEXT, assert_multiset_close, complex_of
 from oracles import cross_gramian_radius, error_operator, reduced_matrix
 from sampling import (
     random_connected_graph,
@@ -369,10 +370,11 @@ def test_worst_radius_memory_stays_flat():
 
 
 def test_worst_radius_memory_stays_flat_across_chunks():
-    # 117 480 triples in 33 chunks; the X index measured per chunk and one
-    # radius kept per set traced 7.4 MiB here, against 11.9 MiB when the
-    # N x 3 spectra and their moduli were kept too (19.9 MiB with the X index
-    # of every set held as well), and the bound lies between them
+    # 117 480 triples in 33 chunks; the groups measured per chunk and one
+    # radius kept per set traced 4.1 MiB here (7.4 MiB when every chunk's
+    # C[s, s] was formed and solved), against 11.9 MiB when the N x 3 spectra
+    # and their moduli were kept too (19.9 MiB with the X index of every set
+    # held as well), and the bound lies between them
     rng = np.random.default_rng(71)
     f = frame_from_graph(random_graph(90, rng, p=0.3))
     dual = dual_from_params(f, random_dual_params(f, rng, scale=1.0))
@@ -422,7 +424,7 @@ def test_shifted_radii_match_worst_radius(monkeypatch, graph, r, chunk):
 @pytest.mark.parametrize("graph", ["connected", "disconnected"])
 def test_shifted_radii_equal_worst_radius_bit_for_bit(monkeypatch, graph):
     # 10 pairs per chunk, so the sets span several chunks; the evaluator's
-    # pass keeps every chunk's X index, worst_radius's measures it per chunk.
+    # pass keeps every chunk's groups, worst_radius's measures them per chunk.
     # Each row of X is its own product, so a dual's X, and so its radius,
     # has the same bits alone and in a batch, from either entry point
     monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 40)
@@ -442,7 +444,7 @@ def test_shifted_radii_equal_worst_radius_bit_for_bit(monkeypatch, graph):
 
 
 def test_worst_radius_pass_keeps_nothing(monkeypatch, k3k2_frame):
-    # at r >= 3 the pass measures the X index of the chunks it reads, at
+    # at r >= 3 the pass measures the groups of the chunks it reads, at
     # build and at each call of its view, and keeps none
     monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 27)  # 3 triples per chunk, 4 chunks
     calls = []
@@ -458,7 +460,7 @@ def test_worst_radius_pass_keeps_nothing(monkeypatch, k3k2_frame):
 @pytest.mark.parametrize("r, chunks", [(1, [5]), (2, [3, 3, 3, 1])])
 def test_passes_to_order_two_measure_each_chunk_once(monkeypatch, k3k2_frame, r, chunks):
     # at r <= 2 every pass, worst_radius's and the evaluator's, measures each
-    # chunk's X index once, when it is built, and never again across
+    # chunk's groups once, when it is built, and never again across
     # repeated calls of its view, its spectra or the evaluator
     monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 12)  # 12 singletons or 3 pairs per chunk
     calls = []
@@ -630,3 +632,71 @@ def test_radii_depend_only_on_component_sizes_and_w(case):
         assert abs(radius - _closed_form_radius(f, shifts, r)) <= 1e-12 * radius
         other_radius = worst_radius(other, dual_from_params(other, other_shifts), r).radius
         assert abs(other_radius - radius) <= 1e-12 * radius
+
+
+K3K2K1_TEXT = "n 6\n1 2\n1 3\n2 3\n4 5\n"
+
+
+def _structure_cases():
+    """Canonical and shifted duals of K4, K3 + K2 + K1 (a singleton), a
+    random connected graph and a random graph of three or four components."""
+    rng = np.random.default_rng(103)
+    graphs = [parse_edge_list(K4_TEXT), parse_edge_list(K3K2K1_TEXT), random_connected_graph(rng, (8, 9)),
+              random_disconnected_graph(rng, (3, 4), (1, 4))]
+    for g in graphs:
+        f = frame_from_graph(g)
+        yield f, f.canonical
+        yield f, dual_from_params(f, random_dual_params(f, rng, scale=2.0))
+
+
+def test_pass_spectra_match_eigvals_of_the_cross_gramian():
+    # the kernel's spectra, rank-one scalar and m_s x m_s stacks, against
+    # numpy's eigvals of C[s, s] sliced from the n x n Phi^H Psi; and a set's
+    # radius has the same bits from worst, worst_radius and its spectrum
+    components = set()
+    for f, dual in _structure_cases():
+        components.add(f.layout.m)
+        c = f.analysis @ dual.vectors
+        for r in range(1, min(4, f.n - 1) + 1):
+            result = worst_radius(f, dual, r)
+            spectra = result.chunk(0, len(result.sets))[1]
+            for s, got in zip(result.sets, spectra):
+                want = np.linalg.eigvals(c[np.ix_(s, s)])
+                assert_multiset_close(got, want, tol=1e-12 * max(1.0, float(np.abs(want).max())))
+            assert result.radii.tolist() == np.abs(spectra).max(axis=1).tolist()
+            assert erasure._RadiusPass(f, r).worst(dual.shifts[None]).tolist() == [result.radius]
+    assert {1, 3} <= components
+
+
+def test_only_sets_across_components_reach_the_eigen_solver(monkeypatch):
+    # a set inside one component gets the rank-one scalar; a set that
+    # touches m_s >= 2 components reaches small_complex_eigenvalues in an
+    # m_s x m_s stack, once per pass
+    shapes = []
+    exact = erasure.small_complex_eigenvalues
+    monkeypatch.setattr(erasure, "small_complex_eigenvalues", lambda a: shapes.append(a.shape) or exact(a))
+    for f, dual in _structure_cases():
+        for r in range(1, min(4, f.n - 1) + 1):
+            shapes.clear()
+            result = worst_radius(f, dual, r)
+            touched = Counter(len(set(f.block[s].tolist())) for s in result.sets)
+            assert all(len(shape) == 4 and shape[0] == 1 and shape[2] == shape[3] >= 2 for shape in shapes)
+            solved = Counter()
+            for shape in shapes:
+                solved[shape[2]] += shape[1]
+            assert solved == Counter({m: count for m, count in touched.items() if m >= 2})
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("graph", ["k4", "k3k2k1", "k1k3k2", "g20"])
+def test_canonical_radius_is_the_unit_eigenvalue(graph, r):
+    # the canonical dual's order-r radius is exactly 1, the unit eigenvalue
+    # of every set with two vertices in one block; every other eigenvalue is
+    # below 1, so the witness is the first such set
+    text = {"k4": K4_TEXT, "k3k2k1": K3K2K1_TEXT, "k1k3k2": "n 6\n2 3\n2 4\n3 4\n5 6\n"}.get(graph)
+    g = random_connected_graph(np.random.default_rng(20), (20, 20), p=0.3) if text is None else parse_edge_list(text)
+    f = frame_from_graph(g)
+    result = worst_radius(f, f.canonical, r)
+    assert result.radius == 1.0
+    first = next(s for s in combinations(range(f.n), r) if len(set(f.block[list(s)].tolist())) < r)
+    assert result.witness == tuple(i + 1 for i in first)

@@ -1,3 +1,8 @@
+import cmath
+import math
+import random
+import struct
+
 import numpy as np
 import pytest
 
@@ -177,9 +182,9 @@ def test_search_checks_each_dual_once(monkeypatch, k3k2_frame):
 
 @pytest.mark.parametrize("text, r, evaluations, best_rho", [
     (K3K2_TEXT, 1, 2068, 0.6666666666666666),
-    (K3K2_TEXT, 2, 265, 1.0),
+    (K3K2_TEXT, 2, 266, 1.0),
     (K4_TEXT, 1, 1844, 0.7500000000000001),
-    (K4_TEXT, 2, 115, 1.0),
+    (K4_TEXT, 2, 117, 1.0),
 ], ids=["k3k2-1", "k3k2-2", "k4-1", "k4-2"])
 def test_search_trajectory_is_pinned(text, r, evaluations, best_rho):
     """The search's exact path, so a change to its evaluator cannot move it
@@ -191,7 +196,7 @@ def test_search_trajectory_is_pinned(text, r, evaluations, best_rho):
 
 def test_search_measures_each_chunk_once(monkeypatch):
     # 10 pairs per chunk, so K9's 36 pairs take 4 chunks and every dual is
-    # evaluated alone: the held X index is measured once per chunk over the
+    # evaluated alone: the held groups are measured once per chunk over the
     # whole search
     monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 40)
     calls = []
@@ -235,16 +240,21 @@ def test_search_evaluations_stay_within_the_budget(request, frame, r):
 
 
 def _probe_per_trial(f, seed):
-    """``uniqueness_probe`` one trial at a time through the general pass:
-    the same draws, each shift made a dual and its radius taken alone."""
-    rng = np.random.default_rng(seed)
+    """``uniqueness_probe`` one trial at a time, with the standard library's
+    math: each trial reads its 2k + 1 uniforms from the same seeded stream,
+    in turn, and its shift is made a dual and its radius taken alone."""
+    stream = random.Random(seed)
     baseline = predicted_worst_radius(f, 1)
     lo, hi = optimality.PROBE_NORM_RANGE
+    k = f.k
     excesses = []
     for _ in range(optimality.PROBE_TRIALS):
-        direction = rng.normal(size=f.k) + 1j * rng.normal(size=f.k)
+        words = struct.unpack(f"<{2 * k + 1}Q", stream.randbytes(8 * (2 * k + 1)))
+        u = [(w >> 11) * 2.0**-53 for w in words]
+        direction = np.array([math.sqrt(-2.0 * math.log1p(-a)) * cmath.exp(2j * math.pi * b)
+                              for a, b in zip(u[:k], u[k:2 * k])])
         direction /= np.linalg.norm(direction)
-        norm = np.exp(rng.uniform(np.log(lo), np.log(hi)))
+        norm = math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * u[2 * k])
         dual = dual_from_params(f, (norm * direction)[:, None])
         excesses.append(worst_radius(f, dual, 1).radius - baseline)
     return min(excesses), sum(e <= -optimality.PROBE_SLACK for e in excesses)
@@ -341,7 +351,7 @@ def test_verify_order_disconnected(k3k2_frame):
 
 def test_verify_order_reads_the_alternate_through_shifted_radii(monkeypatch, k3k2_frame):
     # per order, the canonical dual's pass and then the evaluator's pass,
-    # which gives the alternate witness's radius; both hold their X index
+    # which gives the alternate witness's radius; both hold their groups
     calls = []
     build = erasure._RadiusPass.__init__
 
