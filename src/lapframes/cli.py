@@ -4,7 +4,7 @@ Subcommands: build, dual, rho, verify, search, reproduce. All reports are
 JSON on standard output (or --output <path>) with a top-level schema field;
 their numbers reach the writer as ndarrays (complex ones as [re, im] pairs
 from ``frames.pairs``), and ``rho -v``'s per-set reports are formatted here
-from the radius pass's radii and chunks, a chunk of sets at a time. One
+from the radius pass's radii and chunks, one pass chunk at a time. One
 streaming writer, the generator ``_pieces``, yields the text of
 ``json.dumps(payload, indent=2)`` in order, where an array stands for its
 ``tolist()`` and an iterator for a list: each array is written in pieces of
@@ -51,7 +51,7 @@ from .frames import (
 from .graph import parse_edge_list
 from .optimality import SEARCH_BUDGET, search_optimal_dual, verify_order
 
-ENCODE_NUMBERS = 1 << 13  # numbers per flat encode of an array and per chunk of rho -v's spectra
+ENCODE_NUMBERS = 1 << 13  # numbers per flat encode of an array and per piece of rho -v's spectra
 BLOCK_CHARS = 1 << 16  # characters gathered per write
 
 
@@ -102,20 +102,23 @@ def set_reports(result: RhoResult, k: int) -> Iterator[dict]:
     magnitude (stable) and padded with zeros or cut to k entries (the
     surplus of r > k being structural zeros of a rank <= k operator), and
     its r x r matrix C[s, s]. Matrices and spectra are formed again by the
-    pass a chunk of sets at a time, about ``ENCODE_NUMBERS`` numbers, so no
-    N x k, N x r or N x r x r array is held."""
-    sets = result.sets
-    span = max(1, ENCODE_NUMBERS // (2 * k))
-    for lo in range(0, len(sets), span):
-        blocks, spectra = result.chunk(lo, lo + span)
-        by_mag = np.take_along_axis(spectra, np.argsort(-np.abs(spectra), axis=1, kind="stable"), axis=1)
-        eigenvalues = np.zeros((len(spectra), k), dtype=complex)
-        eigenvalues[:, :min(k, sets.shape[1])] = by_mag[:, :k]
-        for lam, radius, eigs, mat in zip(
-            (sets[lo:lo + span] + 1).tolist(), result.radii[lo:lo + span].tolist(),
-            pairs(eigenvalues), pairs(blocks),
-        ):
-            yield {"lambda": lam, "radius": radius, "eigenvalues": eigs, "reduced": mat}
+    pass one of its chunks at a time, and each chunk is padded and paired in
+    pieces of about ``ENCODE_NUMBERS`` numbers, so no N x k, N x r or
+    N x r x r array is held."""
+    span, lo = max(1, ENCODE_NUMBERS // (2 * k)), 0
+    for blocks, spectra in result.chunks():
+        for a in range(0, len(spectra), span):
+            part = spectra[a:a + span]
+            by_mag = np.take_along_axis(part, np.argsort(-np.abs(part), axis=1, kind="stable"), axis=1)
+            eigenvalues = np.zeros((len(part), k), dtype=complex)
+            eigenvalues[:, :min(k, part.shape[1])] = by_mag[:, :k]
+            piece = slice(lo + a, lo + a + span)
+            for lam, radius, eigs, mat in zip(
+                (result.sets[piece] + 1).tolist(), result.radii[piece].tolist(),
+                pairs(eigenvalues), pairs(blocks[a:a + span]),
+            ):
+                yield {"lambda": lam, "radius": radius, "eigenvalues": eigs, "reduced": mat}
+        lo += len(spectra)
 
 
 def _write(pieces: Iterable[str], output: str | None) -> None:

@@ -24,8 +24,8 @@ one component gets the rank-one scalar 1 + sum_p X[s_p, B(s)], summed in
 set order, with no eigen-solve: at r = 1 that is C[i, i]. Only sets that
 touch m_s >= 2 components reach ``small_complex_eigenvalues``, as
 m_s x m_s stacks, and at m_s = r that stack is C[s, s] itself. ``worst``,
-``worst_radius`` and ``chunk`` read these same spectra, so a set's radius
-is the largest modulus of its spectrum everywhere; ``chunk`` alone forms
+``worst_radius`` and ``chunks`` read these same spectra, so a set's radius
+is the largest modulus of its spectrum everywhere; ``chunks`` alone forms
 the r x r C[s, s] too, for ``rho -v``.
 
 The order picks only the rows of a B x R x k stack, and one product forms
@@ -36,9 +36,11 @@ matrices V. So every row runs the same BLAS kernel at any batch size,
 order or m, and a dual's X, C[s, s] and radii have the same bits alone or
 in a batch and at r = 1 as on the r = 2 diagonal (the rows differ only
 where Phi is exactly zero). X is checked finite once per batch, where it
-is formed. A pass at r <= 2 measures every set's group and Y_s index once,
-when built, and keeps them (at most 8 + 8 r m_s bytes a set, 40 MB at the
-cap); at r >= 3 it measures them per chunk, so memory stays flat.
+is formed. The pass walks its sets in chunks of ``CHUNK_ENTRIES // r^2``,
+and every reader takes them a whole chunk at a time. At r <= 2 it measures
+each chunk's groups and Y_s index once, when built, and keeps them as one
+list per chunk (at most 8 + 8 r m_s bytes a set, 40 MB at the cap); at
+r >= 3 it measures them per chunk, so memory stays flat.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -65,20 +67,21 @@ class EnumerationCapError(ValueError):
 class RhoResult(NamedTuple):
     """The worst radius of one (dual, r) pass, its N x r 0-based ``sets`` in
     lexicographic order and their N ``radii``; no spectrum is kept, and
-    ``chunk(lo, hi)`` forms C[s, s] of sets lo:hi and their spectra again."""
+    ``chunks()`` yields C[s, s] and the spectra of each chunk of the pass's
+    sets again, in order."""
 
     radius: float
     sets: np.ndarray
     radii: np.ndarray
-    chunk: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+    chunks: Callable[[], Iterator[tuple[np.ndarray, np.ndarray]]]
 
     @property
     def spectra(self) -> np.ndarray:
-        """The N x r spectra of C[s, s], formed again a chunk of sets at a time."""
-        spectra = np.empty(self.sets.shape, dtype=complex)
-        span = max(1, CHUNK_ENTRIES // spectra.shape[1] ** 2)  # the pass's sets per chunk
-        for lo in range(0, len(spectra), span):
-            spectra[lo:lo + span] = self.chunk(lo, lo + span)[1]
+        """The N x r spectra of C[s, s], formed again one pass chunk at a time."""
+        spectra, lo = np.empty(self.sets.shape, dtype=complex), 0
+        for _, part in self.chunks():
+            spectra[lo:lo + len(part)] = part
+            lo += len(part)
         return spectra
 
     @property
@@ -149,15 +152,9 @@ class _RadiusPass:
         self.offset = np.zeros((self.column[-1] + 1) * f.n, dtype=complex)  # X's columns, n entries each
         self.offset[self.column * f.n + np.arange(f.n)] = diagonal - 1
         self.span = max(1, CHUNK_ENTRIES // (r * r))  # sets per chunk
-        self.held = None  # at r <= 2 every set's groups, measured a chunk at a time
+        self.held = None  # at r <= 2 each chunk's groups, measured once, here
         if r <= 2:
-            held: dict[tuple[int, ...], list[_Group]] = {}
-            for lo in range(0, len(sets), self.span):
-                for g in self._measure(sets[lo:lo + self.span]):
-                    held.setdefault(g.labels, []).append(g._replace(members=g.members + lo))
-            self.held = [parts[0]._replace(members=np.concatenate([g.members for g in parts]),
-                                           index=np.concatenate([g.index for g in parts]))
-                         for parts in held.values()]
+            self.held = [self._measure(sets[lo:lo + self.span]) for lo in range(0, len(sets), self.span)]
         self.rows = max(1, CHUNK_ENTRIES // (len(self.offset) + min(len(sets), self.span) * r * r))
 
     def _measure(self, s: np.ndarray) -> list[_Group]:
@@ -175,14 +172,9 @@ class _RadiusPass:
         return [_Group(members, labels, starts, self.column[t[:, starts]][:, None, :] * self.n + t[:, :, None])
                 for members, labels, starts in groups for t in (s[members],)]
 
-    def _groups(self, lo: int, hi: int) -> list[_Group]:
-        """The groups of sets lo:hi: cut from the held ones at r <= 2, else measured."""
-        if self.held is None:
-            return self._measure(self.sets[lo:hi])
-        if lo == 0 and hi >= len(self.sets):  # every set in one chunk: nothing to cut
-            return self.held
-        cut = [(g, *g.members.searchsorted((lo, hi))) for g in self.held]
-        return [g._replace(members=g.members[a:b] - lo, index=g.index[a:b]) for g, a, b in cut if a < b]
+    def _groups(self, lo: int) -> list[_Group]:
+        """The groups of the chunk that starts at set lo: held at r <= 2, else measured."""
+        return self._measure(self.sets[lo:lo + self.span]) if self.held is None else self.held[lo // self.span]
 
     def shifts(self, v: np.ndarray) -> np.ndarray:
         """X for each matrix of a B x k x m batch of shifts V, each row X^T
@@ -211,19 +203,20 @@ class _RadiusPass:
             c[..., q, q] += 1
         return c[..., 0] if len(g.starts) == 1 else small_complex_eigenvalues(c)
 
-    def chunk(self, x: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """C[s, s] = I + X[s, B(s)] of sets lo:hi, B x (hi - lo) x r x r, and
-        their spectra, B x (hi - lo) x r: each group's eigenvalues and then
-        r - m_s unit eigenvalues, from one measure of the sets' groups."""
-        count = len(self.sets[lo:hi])
-        c = np.empty((len(x), count, self.r, self.r), dtype=complex)
-        spectra = np.ones((len(x), count, self.r), dtype=complex)
-        for g in self._groups(lo, hi):
-            c[:, g.members] = x.take(g.index[:, :, g.labels], axis=1)  # X[s_p, B(s_q)] is Y_s[p, label of q]
-            spectra[:, g.members, :len(g.starts)] = self._eigenvalues(x, g)
-        for i in range(self.r):
-            c[..., i, i] += 1
-        return c, spectra
+    def chunks(self, x: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each chunk's C[s, s] = I + X[s, B(s)], B x count x r x r, and its
+        spectra, B x count x r, in set order: each group's eigenvalues and
+        then r - m_s unit eigenvalues, from one measure of the chunk's groups."""
+        for lo in range(0, len(self.sets), self.span):
+            count = len(self.sets[lo:lo + self.span])
+            c = np.empty((len(x), count, self.r, self.r), dtype=complex)
+            spectra = np.ones((len(x), count, self.r), dtype=complex)
+            for g in self._groups(lo):
+                c[:, g.members] = x.take(g.index[:, :, g.labels], axis=1)  # X[s_p, B(s_q)] is Y_s[p, label of q]
+                spectra[:, g.members, :len(g.starts)] = self._eigenvalues(x, g)
+            for i in range(self.r):
+                c[..., i, i] += 1
+            yield c, spectra
 
     def worst(self, v: np.ndarray) -> np.ndarray:
         """Each dual's largest radius over all sets, ``rows`` duals at a time."""
@@ -232,7 +225,7 @@ class _RadiusPass:
         x = self.shifts(v)
         radii = np.zeros(len(v))
         for lo in range(0, len(self.sets), self.span):
-            for g in self._groups(lo, lo + self.span):
+            for g in self._groups(lo):
                 np.maximum(radii, np.abs(self._eigenvalues(x, g)).max(axis=(1, 2)), out=radii)
                 if len(g.starts) < self.r:  # a unit eigenvalue
                     np.maximum(radii, 1.0, out=radii)
@@ -249,10 +242,10 @@ def worst_radius(f: Frame, d: DualFrame, r: int) -> RhoResult:
     x = rp.shifts(d.shifts[None])
     radii = np.empty(len(rp.sets))  # one radius per set
     for lo in range(0, len(rp.sets), rp.span):
-        for g in rp._groups(lo, lo + rp.span):  # the largest modulus of each set's spectrum
+        for g in rp._groups(lo):  # the largest modulus of each set's spectrum
             top = np.abs(rp._eigenvalues(x, g)[0]).max(axis=1)
             radii[lo + g.members] = np.maximum(top, 1.0) if len(g.starts) < r else top
-    return RhoResult(float(radii.max()), rp.sets, radii, lambda lo, hi: tuple(a[0] for a in rp.chunk(x, lo, hi)))
+    return RhoResult(float(radii.max()), rp.sets, radii, lambda: ((c[0], e[0]) for c, e in rp.chunks(x)))
 
 
 def shifted_radii(f: Frame, r: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -186,7 +186,7 @@ def run_reproduction(tol: float | None = None) -> dict:
     worst_ops, worst_radii, rho_canon = _pass_residuals(ef, ecanon, CANONICAL_OPERATORS)
     checks.append(_check("explicit: ten canonical 2-erasure operators match", worst_ops, t))
     checks.append(_check("explicit: ten canonical 2-erasure radii match", worst_radii, t))
-    spec12 = np.sort(rho_canon.chunk(0, 1)[1][0].real)[::-1]  # sets[0] is (1, 2)
+    spec12 = np.sort(next(rho_canon.chunks())[1][0].real)[::-1]  # sets[0] is (1, 2)
     checks.append(_check("explicit: reduced spectrum at (1, 2) is (1, 1/3)",
                          _max_abs(spec12, [1.0, 1 / 3]), t))
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -339,7 +340,7 @@ def _per_set_docs(result, k):
     objects did: spectrum sorted by magnitude (stable), zero-padded or cut to
     k entries, and the pass's own C[s, s]."""
     docs = []
-    blocks, spectra = result.chunk(0, len(result.sets))
+    blocks, spectra = (np.concatenate(parts) for parts in zip(*result.chunks()))
     for cols, eigs, block in zip(result.sets, spectra, blocks):
         by_mag = eigs[np.argsort(-np.abs(eigs), kind="stable")]
         spectrum = np.concatenate([by_mag, np.zeros(k, dtype=complex)])[:k]
@@ -773,16 +774,21 @@ def test_writer_streams_an_iterator_as_a_list(reports, encode, block):
 
 @pytest.mark.parametrize("encode", [1, 3, 40])
 def test_rho_verbose_reports_match_across_chunks(capsys, tmp_path, monkeypatch, encode):
-    # set_reports pads and pairs ENCODE_NUMBERS // (2 k) sets at a time:
-    # here 1 set (encode 1, 3) or 6 sets (encode 40) per chunk, k = 3
+    # set_reports pads and pairs each pass chunk ENCODE_NUMBERS // (2 k)
+    # sets at a time: 1 set (encode 1, 3) or 6 sets (encode 40) per piece,
+    # k = 3. A pass chunk holds every set at the default CHUNK_ENTRIES, at
+    # 12 for r = 1 and at 40 for r <= 2, else 3 pairs or 1 triple (12) or 4
+    # triples (40): fewer sets than a piece, as many, more, or all of them
     (tmp_path / "g.el").write_text(K3K2_TEXT)
     f = frame_from_graph(parse_edge_list(K3K2_TEXT))
     expected = {r: run(capsys, "rho", str(tmp_path / "g.el"), "-r", str(r), "-v")[1] for r in (1, 2, 3)}
     monkeypatch.setattr(cli, "ENCODE_NUMBERS", encode)
-    for r, text in expected.items():
-        code, out, _ = run(capsys, "rho", str(tmp_path / "g.el"), "-r", str(r), "-v")
-        assert (code, out) == (0, text)
-        assert json.loads(out)["reports"] == _per_set_docs(worst_radius(f, f.canonical, r), f.k)
+    for entries in (erasure.CHUNK_ENTRIES, 12, 40):
+        monkeypatch.setattr(erasure, "CHUNK_ENTRIES", entries)
+        for r, text in expected.items():
+            code, out, _ = run(capsys, "rho", str(tmp_path / "g.el"), "-r", str(r), "-v")
+            assert (code, out) == (0, text)
+            assert json.loads(out)["reports"] == _per_set_docs(worst_radius(f, f.canonical, r), f.k)
 
 
 def test_rho_verbose_memory_stays_flat(tmp_path):
@@ -804,19 +810,21 @@ def test_rho_verbose_memory_stays_flat(tmp_path):
 
 
 def test_rho_verbose_forms_blocks_a_chunk_at_a_time(tmp_path, monkeypatch):
-    # 1 140 triples in 21 chunks of the pass and 88 of the reports: -v adds
-    # to rho's tracemalloc peak only what one chunk forms, while a stack of
-    # every C[s, s], with the C_0[s, s] and W index an earlier pass gathered
-    # for it, added 3.1 times the bytes of one N x r x r complex stack here
+    # 4 060 triples in 73 chunks of the pass, each paired in pieces of 8
+    # sets: -v adds to rho's tracemalloc peak only what one chunk forms
+    # (55.8 KB here), while one chunk of every set added 2.08 MB. Garbage
+    # is collected before each traced run, so the peak does not depend on
+    # when the collector last ran
     monkeypatch.setattr(erasure, "CHUNK_ENTRIES", 512)
     monkeypatch.setattr(cli, "ENCODE_NUMBERS", 512)
     monkeypatch.setattr(cli, "BLOCK_CHARS", 1024)
-    g = random_connected_graph(np.random.default_rng(89), (20, 20), p=0.3)
+    g = random_connected_graph(np.random.default_rng(89), (30, 30), p=0.3)
     (tmp_path / "g.el").write_text(f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
     argv = ["rho", str(tmp_path / "g.el"), "-r", "3", "--output", str(tmp_path / "out.json")]
     main(argv)  # the enumeration is cached before either peak is traced
 
     def peak(*flags):
+        gc.collect()
         tracemalloc.start()
         try:
             assert main(argv + list(flags)) == 0
@@ -825,8 +833,8 @@ def test_rho_verbose_forms_blocks_a_chunk_at_a_time(tmp_path, monkeypatch):
             tracemalloc.stop()
 
     plain, verbose = peak(), peak("-v")
-    stack = 1140 * 3 * 3 * 16
-    assert len(json.loads((tmp_path / "out.json").read_text())["reports"]) == 1140
+    stack = 4060 * 3 * 3 * 16
+    assert len(json.loads((tmp_path / "out.json").read_text())["reports"]) == 4060
     assert verbose - plain < stack / 4
 
 

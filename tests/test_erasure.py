@@ -52,6 +52,12 @@ def shifted_dual(f):
     return dual_from_params(f, SHIFTS)
 
 
+def _whole(result):
+    """C[s, s] and the spectrum of every set of a pass, its chunks joined."""
+    blocks, spectra = zip(*result.chunks())
+    return np.concatenate(blocks), np.concatenate(spectra)
+
+
 def test_error_operator_reference_matrices(explicit):
     f, canon = explicit
     for lam, expected in CANONICAL_OPERATORS.items():
@@ -79,7 +85,7 @@ def test_reduced_matrix_first_pair(explicit):
     f, canon = explicit
     result = worst_radius(f, canon, 2)
     assert result.sets[0].tolist() == [0, 1]
-    reduced = result.chunk(0, 1)[0][0]
+    reduced = next(result.chunks())[0][0]
     assert np.max(np.abs(reduced - np.array([[2 / 3, -1 / 3], [-1 / 3, 2 / 3]]))) <= 1e-12
     assert_multiset_close(result.spectra[0], [1.0, 1 / 3], tol=1e-12)
 
@@ -89,7 +95,7 @@ def test_reduced_matrix_second_block_pair(explicit):
     f, canon = explicit
     result = worst_radius(f, canon, 2)
     assert result.sets[-1].tolist() == [3, 4]
-    reduced = result.chunk(len(result.sets) - 1, len(result.sets))[0][0]
+    reduced = _whole(result)[0][-1]
     assert np.max(np.abs(reduced - np.array([[0.5, -0.5], [-0.5, 0.5]]))) <= 1e-12
     assert_multiset_close(result.spectra[-1], [1.0, 0.0], tol=1e-12)
 
@@ -97,7 +103,7 @@ def test_reduced_matrix_second_block_pair(explicit):
 def test_reduced_matrix_singletons_are_pairings(explicit):
     f, canon = explicit
     pairings = np.sum(f.synthesis.conj() * canon.vectors, axis=0)
-    reduced = worst_radius(f, canon, 1).chunk(0, 5)[0]
+    reduced = _whole(worst_radius(f, canon, 1))[0]
     assert reduced.shape == (5, 1, 1)
     assert np.max(np.abs(reduced[:, 0, 0] - pairings)) <= 1e-12
 
@@ -132,7 +138,7 @@ def test_worst_radius_r1_reads_the_diagonal_of_c(k3k2_frame):
     f = k3k2_frame
     dual = dual_from_params(f, random_dual_params(f, np.random.default_rng(73), scale=2.0))
     result = worst_radius(f, dual, 1)
-    diagonal = result.chunk(0, f.n)[0][:, 0, 0]  # the pass's own C[i, i]
+    diagonal = _whole(result)[0][:, 0, 0]  # the pass's own C[i, i]
     assert np.max(np.abs(diagonal - np.diagonal(f.analysis @ dual.vectors))) <= 1e-12
     assert result.spectra.shape == (f.n, 1)
     assert np.array_equal(result.spectra[:, 0], diagonal)
@@ -329,23 +335,32 @@ def _kernel_cases(r, rng):
         done += 1
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("chunk", [None, 7, 12, 40])
 def test_batched_kernel_matches_per_set_loop(monkeypatch, chunk):
-    if chunk is not None:
-        monkeypatch.setattr(erasure, "CHUNK_ENTRIES", chunk)  # sets straddle chunk boundaries
+    # a chunk size changes no bit of a radius or a spectrum: every set is in
+    # one chunk at the default size, and sets straddle chunk boundaries at 7,
+    # 12 and 40
     rng = np.random.default_rng(67)
+    components = set()
     for r in (1, 2, 3):
         for case, (f, dual) in enumerate(_kernel_cases(r, rng)):
+            components.add(f.layout.m > 1)
             loop = _per_set_loop(f, dual, r)
             best = max(radius for *_, radius in loop)
-            result = worst_radius(f, dual, r)
+            whole = worst_radius(f, dual, r)
+            with monkeypatch.context() as mp:
+                if chunk is not None:
+                    mp.setattr(erasure, "CHUNK_ENTRIES", chunk)
+                result = worst_radius(f, dual, r)
+                assert result.radii.tobytes() == whole.radii.tobytes()
+                assert result.spectra.tobytes() == whole.spectra.tobytes()
+                reports = list(set_reports(result, f.k))
             assert abs(result.radius - best) <= 1e-12 * best
             assert result.witness == next(lam for lam, *_, radius in loop if radius >= best - TIE_TOL)
             if case == 0:  # every radius ties: the witness is the first set
                 assert np.ptp(result.radii) <= TIE_TOL
                 assert result.witness == tuple(range(1, r + 1))
 
-            reports = list(set_reports(result, f.k))
             assert [tuple(rep["lambda"]) for rep in reports] == [lam for lam, *_ in loop]
             for rep, (_, reduced, eigs, radius) in zip(reports, loop):
                 scale = max(1.0, radius)
@@ -353,6 +368,7 @@ def test_batched_kernel_matches_per_set_loop(monkeypatch, chunk):
                 assert np.max(np.abs(complex_of(rep["reduced"]) - reduced)) <= 1e-12 * scale
                 by_mag = list(eigs[np.argsort(-np.abs(eigs), kind="stable")]) + [0.0] * f.k
                 assert_multiset_close(complex_of(rep["eigenvalues"]), by_mag[: f.k], tol=1e-12 * scale)
+    assert components == {False, True}  # connected and disconnected graphs
 
 
 def test_worst_radius_memory_stays_flat():
@@ -452,8 +468,7 @@ def test_worst_radius_pass_keeps_nothing(monkeypatch, k3k2_frame):
     monkeypatch.setattr(erasure._RadiusPass, "_measure", lambda rp, s: calls.append(len(s)) or measure(rp, s))
     result = worst_radius(k3k2_frame, k3k2_frame.canonical, 3)
     for _ in range(2):
-        for lo in range(0, len(result.sets), 3):
-            result.chunk(lo, lo + 3)
+        list(result.chunks())
     assert calls == [3, 3, 3, 1] * 3
 
 
@@ -470,8 +485,7 @@ def test_passes_to_order_two_measure_each_chunk_once(monkeypatch, k3k2_frame, r,
     result = worst_radius(f, f.canonical, r)
     assert calls == chunks
     for _ in range(2):
-        for lo in range(0, len(result.sets), 3):
-            result.chunk(lo, lo + 3)
+        list(result.chunks())
         assert result.spectra.shape == result.sets.shape
     evaluate = erasure.shifted_radii(f, r)
     for _ in range(2):
@@ -571,12 +585,12 @@ def test_order_one_blocks_are_the_diagonals_of_order_two(graph):
         v = np.stack([random_dual_params(f, rng, scale=10.0 ** rng.uniform(-2, 1)) for _ in range(3)])
         dual = dual_from_params(f, v[0])
         one, two = worst_radius(f, dual, 1), worst_radius(f, dual, 2)
-        c1, c2 = one.chunk(0, f.n)[0][:, 0, 0], two.chunk(0, len(two.sets))[0]
+        c1, c2 = _whole(one)[0][:, 0, 0], _whole(two)[0]
         for p in range(2):
             assert np.array_equal(c2[:, p, p], c1[two.sets[:, p]])
         assert abs(one.radius - cross_gramian_radius(f, dual, 1)) <= 1e-12 * one.radius
         passes = [erasure._RadiusPass(f, r) for r in (1, 2)]
-        c1, c2 = (rp.chunk(rp.shifts(v), 0, len(rp.sets))[0] for rp in passes)
+        c1, c2 = (np.concatenate([c for c, _ in rp.chunks(rp.shifts(v))], axis=1) for rp in passes)
         for p in range(2):
             assert np.array_equal(c2[:, :, p, p], c1[:, passes[1].sets[:, p], 0, 0])
 
@@ -659,7 +673,7 @@ def test_pass_spectra_match_eigvals_of_the_cross_gramian():
         c = f.analysis @ dual.vectors
         for r in range(1, min(4, f.n - 1) + 1):
             result = worst_radius(f, dual, r)
-            spectra = result.chunk(0, len(result.sets))[1]
+            spectra = _whole(result)[1]
             for s, got in zip(result.sets, spectra):
                 want = np.linalg.eigvals(c[np.ix_(s, s)])
                 assert_multiset_close(got, want, tol=1e-12 * max(1.0, float(np.abs(want).max())))

@@ -13,6 +13,9 @@ under each, as ``python -m lapframes ...`` with that tree first on
 * K3 + K2 + a singleton with the fixed shifts ``K3K2K1_PARAMS``: ``dual``,
   and ``rho -r 1``, ``-r 2`` and ``-r 3``, plain and with ``-v``;
 * ``reproduce``, ``reproduce --json`` and ``reproduce --tol 0``;
+* a connected G(130, 0.3) written here from ``perfbench/workloads``'s seeded
+  generator, whose 8 385 pairs take more than one order-2 pass chunk:
+  ``rho -r 2`` plain and with ``-v``, and ``search -r 2``;
 * round 0 of seeds 1 and 2 of every benchmark workload, written by
   ``perfbench/workloads.write_inputs``: each query of the round, ``-v`` of
   each ``rho``, ``-r 1`` (plain and ``-v``) of each ``rho`` with
@@ -67,6 +70,8 @@ K3K2K1_PARAMS = [[[0.37, -0.21], [-0.58, 0.44], [0.13, 0.29]],
                  [[-0.26, 0.71], [0.49, -0.17], [0.82, 0.05]],
                  [[0.31, 0.62], [-0.43, -0.38], [0.27, -0.91]]]
 PARAMS_COMMANDS = (["dual"], *(["rho", "-r", r, *v] for r in "123" for v in ([], ["-v"])))
+CHUNKED = 130  # vertices of the connected graph whose pairs span more than one pass chunk
+CHUNKED_COMMANDS = (["rho", "-r", "2"], ["rho", "-r", "2", "-v"], ["search", "-r", "2"])
 SHIFTED = ("d40", "d60", "d80")  # erasure-verify graphs of several components
 SHIFT_SCALE = 0.3
 
@@ -74,7 +79,7 @@ SHIFT_SCALE = 0.3
 def gate_set(work: Path) -> list[tuple[Path, list[str]]]:
     """Write every input under ``work`` and return (directory, argv) pairs."""
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS, write_inputs
+    from workloads import WORKLOADS, GraphSpec, make_graph, write_inputs
 
     fixtures = work / "fixtures"
     fixtures.mkdir(parents=True)
@@ -86,6 +91,10 @@ def gate_set(work: Path) -> list[tuple[Path, list[str]]]:
     commands += [(fixtures, [cmd[0], "k3k2k1.el", *cmd[1:], "--params", "k3k2k1.params.json"])
                  for cmd in PARAMS_COMMANDS]
     commands += [(fixtures, ["reproduce", *flags]) for flags in ([], ["--json"], ["--tol", "0"])]
+    g = make_graph(GraphSpec("chunked", (CHUNKED,)), SEEDS[0], "output-gate", 0)
+    edges = "".join(f"{u} {v}\n" for u, v in g.edges)
+    (fixtures / "chunked.el").write_text(f"n {g.n}\n{edges}", encoding="utf-8")
+    commands += [(fixtures, [cmd[0], "chunked.el", *cmd[1:]]) for cmd in CHUNKED_COMMANDS]
     for workload in WORKLOADS.values():
         for seed in SEEDS:
             directory = work / f"{workload.name}-seed{seed}"
