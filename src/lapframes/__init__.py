@@ -44,8 +44,6 @@ from .linalg import (
 from .optimality import (
     ProbeReport,
     SearchBudgetError,
-    SearchReport,
-    OptimalityReport,
     alternate_optimal_dual,
     predicted_worst_radius,
     search_optimal_dual,

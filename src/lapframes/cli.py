@@ -2,8 +2,10 @@
 
 Subcommands: build, dual, rho, verify, search, reproduce. All reports are
 JSON on standard output (or --output <path>) with a top-level schema field;
-their numbers reach the writer as ndarrays (complex ones as [re, im] pairs
-from ``frames.pairs``), and ``rho -v``'s per-set reports are formatted here
+the modules form the documents of ``build``, ``dual``, ``verify``,
+``search`` and ``reproduce``, and each command adds only its envelope.
+Numbers reach the writer as ndarrays (complex ones as [re, im] pairs from
+``frames.pairs``), and ``rho -v``'s per-set reports are formatted here
 from the radius pass's radii and chunks, one pass chunk at a time. One
 streaming writer, the generator ``_pieces``, yields the text of
 ``json.dumps(payload, indent=2)`` in order, where an array stands for its
@@ -267,19 +269,7 @@ def cmd_verify(args) -> int:
     if args.r:
         _check_order(frame, args.r)
     orders = [args.r] if args.r else [r for r in (1, 2) if r < frame.n]
-    reports = []
-    for rep in verify_order(frame, orders, seed=args.seed):
-        reports.append({
-            "r": rep.r,
-            "predicted": rep.predicted,
-            "measured": rep.measured,
-            "canonical_optimal": rep.canonical_optimal,
-            "unique": rep.unique,
-            "witnesses": [pairs(w.T) for w in rep.witnesses],
-            "details": list(rep.details),
-            "notes": list(rep.notes),
-            **rep.extras,
-        })
+    reports = verify_order(frame, orders, seed=args.seed)
     all_pass = all(item["pass"] for rep in reports for item in rep["details"])
     _emit({
         "schema": 1,
@@ -297,18 +287,7 @@ def cmd_search(args) -> int:
     frame = _load_frame(args.file)
     _check_order(frame, args.r)
     report = search_optimal_dual(frame, args.r, seed=args.seed, budget=args.budget)
-    _emit({
-        "schema": 1,
-        "command": "search",
-        "r": args.r,
-        "best_rho": report.best_rho,
-        "improved": report.improved,
-        "evaluations": report.evaluations,
-        "best_params": pairs(report.best_params.T),
-        "near_optima": [
-            {"params": pairs(p.T), "rho": value} for p, value in report.near_optima
-        ],
-    }, args.output)
+    _emit({"schema": 1, "command": "search", "r": args.r, **report}, args.output)
     return 0
 
 

@@ -7,9 +7,10 @@ for single-component graphs. ``verify_order`` reads each order's
 per-component laws from the canonical dual's radius pass (``worst_radius``
 keeps each set's radius and forms C's principal-submatrix spectra again on
 request) and an alternate dual's radius from ``shifted_radii``, and runs
-the order-independent probe once per call. The search's restart and the
-probe's trials both come from the standard library's ``random.Random``, so
-no command loads ``numpy.random``.
+the order-independent probe once per call. Both return their schema-1
+report documents, so the CLI adds only the envelope. The search's restart
+and the probe's trials both come from the standard library's
+``random.Random``, so no command loads ``numpy.random``.
 Every refusal is a ``ValueError``, ``SearchBudgetError`` included; a bad
 order, seed or negative budget is refused before any work.
 """
@@ -17,12 +18,12 @@ order, seed or negative budget is refused before any work.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .erasure import shifted_radii, worst_radius
-from .frames import DualFrame, Frame, dual_from_params
+from .frames import DualFrame, Frame, dual_from_params, pairs
 from .simplex import nelder_mead
 
 RADIUS_TOL = 1e-9
@@ -43,37 +44,9 @@ class SearchBudgetError(ValueError):
 
 
 @dataclass(frozen=True)
-class SearchReport:
-    best_params: np.ndarray  # k x m shifts
-    best_rho: float
-    evaluations: int
-    improved: bool
-    near_optima: tuple[tuple[np.ndarray, float], ...] = ()
-
-
-@dataclass(frozen=True)
 class ProbeReport:
     min_excess: float
     violations: int
-
-
-@dataclass(frozen=True)
-class OptimalityReport:
-    """Verification outcome for one erasure order."""
-
-    r: int
-    predicted: float
-    measured: float
-    canonical_optimal: bool
-    unique: str  # "unique" | "non-unique" | "undetermined"
-    witnesses: tuple[np.ndarray, ...]  # k x m shifts
-    details: tuple[dict, ...]
-    notes: tuple[str, ...] = ()
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(item["pass"] for item in self.details)
 
 
 def predicted_worst_radius(f: Frame, r: int) -> float:
@@ -126,7 +99,7 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
 
-def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH_BUDGET) -> SearchReport:
+def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH_BUDGET) -> dict:
     """Minimize the worst-case radius over the whole shift-parameterized family.
 
     The search cannot beat the proven optimum, max_j (n_j - 1)/n_j at r = 1
@@ -149,7 +122,8 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
     point alone, the grid pass as one batch, and Nelder-Mead's batches. A
     budget of 0 returns the canonical baseline after its single evaluation;
     a nonzero budget too small for one grid pass raises. The budget and the
-    seed are checked before any evaluation.
+    seed are checked before any evaluation. In the report, ``best_params``
+    and each of ``near_optima``'s ``params`` are V^T as [re, im] pairs.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -181,7 +155,7 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
     canonical_rho = float(objective(origin[None])[0])
     best_x, best_rho = origin, canonical_rho
 
-    def finalize() -> SearchReport:
+    def finalize() -> dict:
         near: list[tuple[np.ndarray, float]] = []
         for x, value in samples:
             if value > best_rho + NEAR_OPTIMUM_TOL:
@@ -190,13 +164,13 @@ def search_optimal_dual(f: Frame, r: int, *, seed: int = 0, budget: int = SEARCH
                 near.append((x, value))
             if len(near) >= 16:
                 break
-        return SearchReport(
-            best_params=shifts(best_x),
-            best_rho=best_rho,
-            evaluations=evaluations,
-            improved=best_rho < canonical_rho - IMPROVEMENT_TOL,
-            near_optima=tuple((shifts(x), value) for x, value in near),
-        )
+        return {
+            "best_rho": best_rho,
+            "improved": best_rho < canonical_rho - IMPROVEMENT_TOL,
+            "evaluations": evaluations,
+            "best_params": pairs(shifts(best_x).T),
+            "near_optima": [{"params": pairs(shifts(x).T), "rho": value} for x, value in near],
+        }
 
     if budget == 0:
         return finalize()
@@ -265,12 +239,13 @@ def _detail(claim: str, predicted: float, measured: float, tol: float) -> dict:
     }
 
 
-def verify_order(f: Frame, orders: list[int], *, seed: int = 0) -> list[OptimalityReport]:
+def verify_order(f: Frame, orders: list[int], *, seed: int = 0) -> list[dict]:
     """Run every measurable claim for each erasure order in ``orders``.
 
     The seed and every order are validated before any work; a connected
     graph's uniqueness probe does not depend on the order, so it runs once
-    and every report carries its result.
+    and every report carries its result. Each report is one order's
+    document; its ``witnesses`` are each witness dual's V^T as [re, im] pairs.
     """
     _check_seed(seed)
     for r in orders:
@@ -282,14 +257,14 @@ def verify_order(f: Frame, orders: list[int], *, seed: int = 0) -> list[Optimali
     return [_order_report(f, r, probe) for r in orders]
 
 
-def _order_report(f: Frame, r: int, probe: ProbeReport | None) -> OptimalityReport:
+def _order_report(f: Frame, r: int, probe: ProbeReport | None) -> dict:
     canon = f.canonical
     predicted = predicted_worst_radius(f, r)
     result = worst_radius(f, canon, r)
     measured = result.radius
     details = [_detail(f"order-{r} canonical radius", predicted, measured, RADIUS_TOL)]
     notes: list[str] = []
-    extras: dict = {"witness": list(result.witness)}
+    tail: dict = {"witness": list(result.witness)}
     witnesses: list[np.ndarray] = [canon.shifts]
 
     # the per-component laws, read off the pass's radii and spectra of C[s, s]
@@ -315,9 +290,8 @@ def _order_report(f: Frame, r: int, probe: ProbeReport | None) -> OptimalityRepo
             "a conflicting reference value of 2 exists for the order-2 optimum; "
             "the verified and asserted optimum is 1"
         )
-        extras["conflicting_reference_value"] = 2.0
+        tail["conflicting_reference_value"] = 2.0
 
-    canonical_optimal = details[0]["pass"]
     if probe is not None:
         details.append(
             {
@@ -328,7 +302,7 @@ def _order_report(f: Frame, r: int, probe: ProbeReport | None) -> OptimalityRepo
                 "pass": probe.violations == 0 and probe.min_excess > 0,
             }
         )
-        extras["probe_min_excess"] = probe.min_excess
+        tail["probe_min_excess"] = probe.min_excess
         unique = "unique" if details[-1]["pass"] else "undetermined"
     else:
         alternate = alternate_optimal_dual(f, r)
@@ -347,14 +321,14 @@ def _order_report(f: Frame, r: int, probe: ProbeReport | None) -> OptimalityRepo
         witnesses.append(alternate.shifts)
         unique = "non-unique" if all(item["pass"] for item in details[-2:]) else "undetermined"
 
-    return OptimalityReport(
-        r=r,
-        predicted=predicted,
-        measured=measured,
-        canonical_optimal=canonical_optimal,
-        unique=unique,
-        witnesses=tuple(witnesses),
-        details=tuple(details),
-        notes=tuple(notes),
-        extras=extras,
-    )
+    return {
+        "r": r,
+        "predicted": predicted,
+        "measured": measured,
+        "canonical_optimal": details[0]["pass"],
+        "unique": unique,
+        "witnesses": [pairs(w.T) for w in witnesses],
+        "details": details,
+        "notes": notes,
+        **tail,
+    }

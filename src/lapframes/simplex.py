@@ -35,7 +35,10 @@ def nelder_mead(fn: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, max_eval
     in ``max_evals``; reflection, expansion and contraction are batches of
     one. Stops on ``MAX_ITER`` iterations, a function spread below
     ``F_TOL``, or when ``max_evals`` objective evaluations have been spent.
+    A negative ``max_evals`` is refused before any evaluation.
     """
+    if max_evals < 0:
+        raise ValueError(f"max_evals must be nonnegative, got {max_evals}")
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size
     evals = 0
@@ -81,9 +84,7 @@ def nelder_mead(fn: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, max_eval
         away = centroid - simplex[-1]
 
         reflected = centroid + ALPHA * away
-        fr = call_one(reflected)
-        if fr is None:
-            break
+        fr = call_one(reflected)  # the loop's budget check leaves it one evaluation
         if values[0] <= fr < values[-2]:
             replace_worst(reflected, fr)
         elif fr < values[0]:

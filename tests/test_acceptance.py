@@ -187,13 +187,13 @@ def test_criterion_9_search_non_improvement():
     targets = {1: 2 / 3, 2: 1.0}
     for r in (1, 2):
         report = search_optimal_dual(k3, r)
-        assert not report.improved
-        assert abs(report.best_rho - targets[r]) <= 1e-6
+        assert not report["improved"]
+        assert abs(report["best_rho"] - targets[r]) <= 1e-6
     for r in (1, 2):
         report = search_optimal_dual(k3k2, r)
-        assert not report.improved
-        assert abs(report.best_rho - targets[r]) <= 1e-6
-        points = [p for p, _ in report.near_optima]
+        assert not report["improved"]
+        assert abs(report["best_rho"] - targets[r]) <= 1e-6
+        points = [near["params"] for near in report["near_optima"]]
         if r == 1:  # non-uniqueness evidence: at least two separated optima
             assert len(points) >= 2
         assert all(

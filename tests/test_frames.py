@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,23 @@ def test_frame_bounds_refuse_rows_that_break_the_spectrum():
 
     f = Frame(3, 1, np.array([[1], [2], [2]], dtype=complex), contiguous_decomposition((1,)), np.ones(3))
     with pytest.raises(ValueError, match="^not a frame: row 2 has squared norm 4.000e"):
+        frame_bounds(f)
+
+
+@pytest.mark.parametrize("k, n, sizes, spectrum_size, message", [
+    (2, 2, (2,), 2, "synthesis shape (1, 2) does not match (2, 2)"),
+    (1, 3, (2,), 1, "layout vertex count does not match frame size"),
+    (1, 2, (2,), 2, "spectrum length must equal the ambient dimension"),
+], ids=["synthesis", "layout", "spectrum"])
+def test_frame_refuses_inconsistent_fields(k, n, sizes, spectrum_size, message):
+    synthesis = np.zeros((1, n), dtype=complex)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Frame(k, n, synthesis, contiguous_decomposition(sizes), np.ones(spectrum_size))
+
+
+def test_frame_bounds_refuse_a_zero_lower_bound():
+    f = Frame(1, 2, np.zeros((1, 2), dtype=complex), contiguous_decomposition((2,)), np.zeros(1))
+    with pytest.raises(ValueError, match=r"^not a frame: lower bound 0\.000e\+00 <= 1e-07$"):
         frame_bounds(f)
 
 

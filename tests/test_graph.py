@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapframes import (
+    ComponentDecomposition,
     EdgeListError,
     Graph,
     components,
@@ -107,6 +110,29 @@ def test_parse_reports_huge_integers_as_out_of_range(text, message):
     with pytest.raises(EdgeListError) as excinfo:
         parse_edge_list(text)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (0, (), "vertex count must be positive, got 0"),
+    (3, ((2, 2),), "self-loop at vertex 2"),
+    (3, ((1, 4),), "edge (1, 4) out of range for n=3"),
+    (3, ((0, 1),), "edge (0, 1) out of range for n=3"),
+    (3, ((2, 1),), "edge (2, 1) out of range for n=3"),  # pairs are stored as u < v
+], ids=["count", "self-loop", "past-n", "below-1", "unordered"])
+def test_graph_refuses_invalid_fields(n, edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph(n, frozenset(edges))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((2, (2,), (0, 2), (1, 2)), "component sizes do not partition the vertex set"),
+    ((1, (3,), (0, 3), (1, 2)), "component sizes do not partition the vertex set"),
+    ((1, (2,), (0, 1), (1, 2)), "offsets inconsistent with sizes"),
+    ((1, (2,), (0, 2), (1, 1)), "perm is not a permutation of 1..n"),
+], ids=["count", "sum", "offsets", "perm"])
+def test_component_decomposition_refuses_inconsistent_fields(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ComponentDecomposition(*fields)
 
 
 def test_laplacian_fixture_matches_reference():

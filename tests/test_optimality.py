@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from lapframes import (
+    Frame,
     SearchBudgetError,
     alternate_optimal_dual,
     canonical_dual,
+    contiguous_decomposition,
     dual_from_params,
     frame_from_graph,
     parse_edge_list,
@@ -52,6 +54,14 @@ def test_predicted_radius_order_two(k3k2_frame, k3_frame):
 def test_predicted_radius_rejects_other_orders(k3k2_frame):
     with pytest.raises(ValueError):
         predicted_worst_radius(k3k2_frame, 3)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (1, 1, 1)], ids=["one-vertex", "singletons"])
+def test_predicted_radius_order_two_needs_a_block_of_two(sizes):
+    n = sum(sizes)
+    f = Frame(1, n, np.zeros((1, n), dtype=complex), contiguous_decomposition(sizes), np.ones(1))
+    with pytest.raises(ValueError, match="^order-2 prediction needs a component with at least 2 vertices$"):
+        predicted_worst_radius(f, 2)
 
 
 def test_alternate_dual_matches_reference_shift(k3k2_frame, k3k2_canonical):
@@ -109,31 +119,31 @@ def test_uniqueness_probe_rejects_disconnected(k3k2_frame):
 
 def test_search_connected_no_improvement(k3_frame):
     report = search_optimal_dual(k3_frame, 1)
-    assert not report.improved
-    assert abs(report.best_rho - 2 / 3) <= 1e-6
-    assert np.linalg.norm(report.best_params) <= 1e-3
-    assert len(report.near_optima) == 1  # origin only: the optimum is unique
+    assert not report["improved"]
+    assert abs(report["best_rho"] - 2 / 3) <= 1e-6
+    assert np.linalg.norm(report["best_params"]) <= 1e-3
+    assert len(report["near_optima"]) == 1  # origin only: the optimum is unique
 
 
 def test_search_disconnected_finds_ties(k3k2_frame):
     report = search_optimal_dual(k3k2_frame, 1)
-    assert not report.improved
-    assert abs(report.best_rho - 2 / 3) <= 1e-6
-    assert len(report.near_optima) >= 2
-    vectors = [p for p, _ in report.near_optima]
+    assert not report["improved"]
+    assert abs(report["best_rho"] - 2 / 3) <= 1e-6
+    assert len(report["near_optima"]) >= 2
+    vectors = [near["params"] for near in report["near_optima"]]
     assert all(
         np.linalg.norm(vectors[i] - vectors[j]) >= 1e-2
         for i in range(len(vectors))
         for j in range(i + 1, len(vectors))
     )
-    assert all(abs(value - report.best_rho) <= 1e-6 for _, value in report.near_optima)
+    assert all(abs(near["rho"] - report["best_rho"]) <= 1e-6 for near in report["near_optima"])
 
 
 def test_search_budget_zero_returns_baseline(k3k2_frame):
     report = search_optimal_dual(k3k2_frame, 1, budget=0)
-    assert report.evaluations == 1
-    assert not report.improved
-    assert abs(report.best_rho - 2 / 3) <= 1e-12
+    assert report["evaluations"] == 1
+    assert not report["improved"]
+    assert abs(report["best_rho"] - 2 / 3) <= 1e-12
 
 
 def test_search_budget_below_grid_pass_raises(k3k2_frame):
@@ -160,7 +170,7 @@ def test_search_computes_canonical_dual_once(monkeypatch, k3k2_frame):
 
     monkeypatch.setattr(frames, "canonical_dual", counted)
     report = search_optimal_dual(k3k2_frame, 1)
-    assert report.evaluations > 1
+    assert report["evaluations"] > 1
     assert len(calls) == 1 and calls[0] is k3k2_frame
 
 
@@ -175,8 +185,8 @@ def test_search_checks_each_dual_once(monkeypatch, k3k2_frame):
     monkeypatch.setattr(frames, "is_dual", lambda f, d: checks.append(d) or check(f, d))
     assert k3k2_frame.canonical is not None and len(checks) == 0
     report = search_optimal_dual(k3k2_frame, 1)
-    assert sum(rows) == report.evaluations > 1
-    assert len(rows) < report.evaluations / 2  # most points come in batches
+    assert sum(rows) == report["evaluations"] > 1
+    assert len(rows) < report["evaluations"] / 2  # most points come in batches
     assert built == [] and checks == []
 
 
@@ -191,7 +201,7 @@ def test_search_trajectory_is_pinned(text, r, evaluations, best_rho):
     unnoticed. A change that the ROADMAP's search gate allows to move it
     re-pins these values and lists the move in CHANGES.md."""
     report = search_optimal_dual(frame_from_graph(parse_edge_list(text)), r)
-    assert (report.evaluations, report.best_rho, report.improved) == (evaluations, best_rho, False)
+    assert (report["evaluations"], report["best_rho"], report["improved"]) == (evaluations, best_rho, False)
 
 
 def test_search_measures_each_chunk_once(monkeypatch):
@@ -204,7 +214,7 @@ def test_search_measures_each_chunk_once(monkeypatch):
     monkeypatch.setattr(erasure._RadiusPass, "_measure", lambda rp, s: calls.append(len(s)) or measure(rp, s))
     text = "n 9\n" + "".join(f"{i} {j}\n" for i in range(1, 10) for j in range(i + 1, 10))
     report = search_optimal_dual(frame_from_graph(parse_edge_list(text)), 2, budget=400)
-    assert report.evaluations > 300 and not report.improved
+    assert report["evaluations"] > 300 and not report["improved"]
     assert calls == [10, 10, 10, 6]
 
 
@@ -222,11 +232,40 @@ def test_search_seed_picks_the_restart(monkeypatch, k3k2_frame):
     assert not np.array_equal(first[4], other[4])
     assert np.abs(first[4]).max() <= optimality.GRID_EXTENT and np.ptp(first[4]) > 0
     a, b = reports[:2]
-    assert (a.best_rho, a.evaluations, a.improved) == (b.best_rho, b.evaluations, b.improved)
-    assert np.array_equal(a.best_params, b.best_params)
-    assert len(a.near_optima) == len(b.near_optima)
-    for (p, rho), (q, sigma) in zip(a.near_optima, b.near_optima):
-        assert np.array_equal(p, q) and rho == sigma
+    assert (a["best_rho"], a["evaluations"], a["improved"]) == (b["best_rho"], b["evaluations"], b["improved"])
+    assert np.array_equal(a["best_params"], b["best_params"])
+    assert len(a["near_optima"]) == len(b["near_optima"])
+    for p, q in zip(a["near_optima"], b["near_optima"]):
+        assert np.array_equal(p["params"], q["params"]) and p["rho"] == q["rho"]
+
+
+def test_search_reports_a_counterexample(monkeypatch, k3k2_frame):
+    # an evaluator that reads below the true radius away from V = 0: the
+    # grid's best point beats the canonical one, Nelder-Mead beats the grid,
+    # and the report is the counterexample the search looks for
+    true, refine = optimality.shifted_radii, optimality.nelder_mead
+    batches, refined = [], []
+
+    def lowered(f, r):
+        evaluate = true(f, r)
+        return lambda v: batches.append(evaluate(v) - 2 * np.tanh(np.linalg.norm(v, axis=(-2, -1)))) or batches[-1]
+
+    monkeypatch.setattr(optimality, "shifted_radii", lowered)
+    monkeypatch.setattr(optimality, "nelder_mead",
+                        lambda fn, x, **kw: refined.append(refine(fn, x, **kw)) or refined[-1])
+    report = search_optimal_dual(k3k2_frame, 1)
+    canonical, grid = batches[0][0], batches[1].min()
+    assert canonical == pytest.approx(2 / 3, abs=1e-12)  # V = 0 reads the true radius
+    assert grid < canonical - optimality.IMPROVEMENT_TOL
+    assert report["best_rho"] == min(result.fx for result in refined) < grid
+    assert report["improved"] and report["best_rho"] < canonical - optimality.IMPROVEMENT_TOL
+    params = np.asarray(report["best_params"])  # [re, im] pairs of V^T
+    assert params.shape == (k3k2_frame.layout.m, k3k2_frame.k, 2) and np.linalg.norm(params) > 0
+    best = (params[..., 0] + 1j * params[..., 1]).T
+    assert lowered(k3k2_frame, 1)(best[None])[0] == pytest.approx(report["best_rho"], abs=1e-12)
+    assert report["near_optima"]
+    assert all(abs(near["rho"] - report["best_rho"]) <= optimality.NEAR_OPTIMUM_TOL
+               for near in report["near_optima"])
 
 
 @pytest.mark.parametrize("frame, r", [("k3k2_frame", 1), ("k3_frame", 2)])
@@ -236,7 +275,7 @@ def test_search_evaluations_stay_within_the_budget(request, frame, r):
     grid_pass = 1 + 4 * dim
     for budget in (grid_pass, grid_pass + 1, grid_pass + dim, grid_pass + dim + 3):
         report = search_optimal_dual(f, r, budget=budget)
-        assert grid_pass <= report.evaluations <= budget
+        assert grid_pass <= report["evaluations"] <= budget
 
 
 def _probe_per_trial(f, seed):
@@ -335,18 +374,22 @@ def test_optimality_status_invariant_under_unitary(k3k2_frame, k3k2_canonical):
             ) <= 1e-8
 
 
+def _all_pass(rep):
+    return all(item["pass"] for item in rep["details"])
+
+
 def test_verify_order_connected(k3_frame):
     rep1, rep2 = verify_order(k3_frame, [1, 2])
-    assert rep1.canonical_optimal and rep1.unique == "unique" and rep1.all_pass
-    assert rep2.canonical_optimal and rep2.all_pass
-    assert rep2.extras["conflicting_reference_value"] == 2.0
-    assert rep2.notes
+    assert rep1["canonical_optimal"] and rep1["unique"] == "unique" and _all_pass(rep1)
+    assert rep2["canonical_optimal"] and _all_pass(rep2)
+    assert rep2["conflicting_reference_value"] == 2.0
+    assert rep2["notes"]
 
 
 def test_verify_order_disconnected(k3k2_frame):
     for rep in verify_order(k3k2_frame, [1, 2]):
-        assert rep.canonical_optimal and rep.unique == "non-unique" and rep.all_pass
-        assert len(rep.witnesses) == 2
+        assert rep["canonical_optimal"] and rep["unique"] == "non-unique" and _all_pass(rep)
+        assert len(rep["witnesses"]) == 2
 
 
 def test_verify_order_reads_the_alternate_through_shifted_radii(monkeypatch, k3k2_frame):
@@ -361,14 +404,14 @@ def test_verify_order_reads_the_alternate_through_shifted_radii(monkeypatch, k3k
 
     monkeypatch.setattr(erasure._RadiusPass, "__init__", counted)
     reports = verify_order(k3k2_frame, [1, 2])
-    assert all(rep.unique == "non-unique" and rep.all_pass for rep in reports)
+    assert all(rep["unique"] == "non-unique" and _all_pass(rep) for rep in reports)
     assert calls == [(1, True), (1, True), (2, True), (2, True)]
 
 
 def test_verify_order_degenerate_disconnected_uses_singleton_witness():
     f = frame_from_graph(parse_edge_list("n 4\n1 2\n1 3\n2 3\n"))
     [rep] = verify_order(f, [1])
-    assert rep.unique == "non-unique" and rep.all_pass
+    assert rep["unique"] == "non-unique" and _all_pass(rep)
 
 
 @pytest.mark.parametrize("text", ["n 3\n1 2\n", "n 5\n1 2\n"])
@@ -377,7 +420,16 @@ def test_verify_order_two_with_one_dimensional_frame(text):
     f = frame_from_graph(parse_edge_list(text))
     assert f.k == 1
     [rep] = verify_order(f, [2])
-    assert rep.all_pass and rep.measured == pytest.approx(1.0, abs=1e-12)
+    assert _all_pass(rep) and rep["measured"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f: search_optimal_dual(f, 3, budget=100), "search supports erasure orders 1 and 2, got 3"),
+    (lambda f: verify_order(f, [1, 3]), "verification covers erasure orders 1 and 2, got 3"),
+], ids=["search", "verify"])
+def test_search_and_verify_reject_order_three(k3k2_frame, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(k3k2_frame)
 
 
 def test_search_and_verify_reject_r_at_least_n(edge_frame):
@@ -429,9 +481,9 @@ def test_verify_component_laws_match_independent_formulas():
         orders = [r for r in (1, 2) if r < f.n]
         expected = _component_laws_reference(f)
         for rep in verify_order(f, orders):
-            got = [d["measured"] for d in rep.details if d["claim"].startswith("component")]
-            assert len(got) == len(expected[rep.r])
-            assert np.max(np.abs(np.subtract(got, expected[rep.r]))) <= 1e-12
+            got = [d["measured"] for d in rep["details"] if d["claim"].startswith("component")]
+            assert len(got) == len(expected[rep["r"]])
+            assert np.max(np.abs(np.subtract(got, expected[rep["r"]]))) <= 1e-12
 
 
 def _relabel(g, perm):
@@ -453,7 +505,7 @@ def test_radii_and_verdicts_invariant_under_vertex_relabelling():
             b = worst_radius(fh, fh.canonical, r).radius
             assert abs(a - b) <= 1e-12
         for rep, reph in zip(verify_order(f, [1, 2], seed=done), verify_order(fh, [1, 2], seed=done)):
-            assert (rep.canonical_optimal, rep.unique, rep.all_pass) == (
-                reph.canonical_optimal, reph.unique, reph.all_pass)
-            assert rep.all_pass
+            assert (rep["canonical_optimal"], rep["unique"], _all_pass(rep)) == (
+                reph["canonical_optimal"], reph["unique"], _all_pass(reph))
+            assert _all_pass(rep)
         done += 1

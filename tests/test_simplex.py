@@ -90,7 +90,8 @@ def _corner(x):
 DIM = 4
 
 
-@pytest.mark.parametrize("max_evals", [DIM, DIM + 1, DIM + 3, DIM + 5, 2 * DIM + 4, 60, 400])
+# 15 ends at an expansion for bowl and corner, which then keep the reflected point
+@pytest.mark.parametrize("max_evals", [DIM, DIM + 1, DIM + 3, DIM + 5, 2 * DIM + 4, 15, 60, 400])
 @pytest.mark.parametrize("fn", [_spike, _bowl, _corner], ids=["spike", "bowl", "corner"])
 def test_batches_visit_the_reference_points_within_the_budget(fn, max_evals):
     points, batches = [], []
@@ -137,3 +138,10 @@ def test_no_evaluation_budget_returns_the_start():
     result = nelder_mead(lambda xs: calls.append(xs) or np.zeros(len(xs)), np.ones(3), 0)
     assert calls == [] and result.evaluations == 0 and result.fx == np.inf
     assert np.array_equal(result.x, np.ones(3))
+
+
+def test_negative_evaluation_budget_is_refused():
+    calls = []
+    with pytest.raises(ValueError, match="max_evals must be nonnegative, got -2"):
+        nelder_mead(lambda xs: calls.append(xs) or np.zeros(len(xs)), np.ones(5), max_evals=-2)
+    assert calls == []

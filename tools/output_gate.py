@@ -5,7 +5,9 @@
 OLD_SRC and NEW_SRC are directories that hold the ``lapframes`` package
 (the ``src`` of two checkouts). Every command of the gate set runs once
 under each, as ``python -m lapframes ...`` with that tree first on
-``PYTHONPATH``, from the same input directory:
+``PYTHONPATH``, from the same input directory; two commands run at a time,
+each under both trees in turn, and only the lines printed for it are kept
+(its stdouts go to files, read only when they differ):
 
 * six fixtures (k3k2, k3, k4, one edge, ``n 3`` with one edge, K3 + K2 +
   a singleton) with ``build``, ``dual``, ``verify``, ``rho -r 1`` and
@@ -38,6 +40,7 @@ written; the inputs go to a temporary directory.
 
 from __future__ import annotations
 
+import filecmp
 import json
 import math
 import os
@@ -124,11 +127,13 @@ def gate_set(work: Path) -> list[tuple[Path, list[str]]]:
     return commands
 
 
-def run(src: Path, directory: Path, argv: list[str]) -> tuple[int, str, str]:
+def run(src: Path, directory: Path, argv: list[str], stdout: Path) -> tuple[int, bytes]:
+    """The exit code and stderr of one command, its stdout written to the file ``stdout``."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "lapframes", *argv], cwd=directory, env=env,
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr
+    with open(stdout, "wb") as out:
+        proc = subprocess.run([sys.executable, "-m", "lapframes", *argv], cwd=directory, env=env,
+                              stdout=out, stderr=subprocess.PIPE)
+    return proc.returncode, proc.stderr
 
 
 def _finite(x) -> bool:
@@ -189,7 +194,7 @@ def compare(old, new) -> list[str]:
     return lines
 
 
-def search_gate(old_out: str, new_out: str) -> tuple[list[str], bool]:
+def search_gate(old_out: str | bytes, new_out: str | bytes) -> tuple[list[str], bool]:
     """Lines on one ``search`` command's two stdouts under the search gate,
     and whether it fails: an ``improved`` flip or a ``best_rho`` move over
     ``SEARCH_TOL``. ``evaluations`` is free and only reported."""
@@ -206,6 +211,28 @@ def search_gate(old_out: str, new_out: str) -> tuple[list[str], bool]:
     return lines, len(lines) > 1
 
 
+def judge(old_src: Path, new_src: Path, work: Path, index: int, directory: Path,
+          args: list[str]) -> tuple[list[str], bool | None]:
+    """Run one command under both trees and return the lines printed for it
+    and whether it fails, or no lines and None when its outcomes are equal.
+    Its stdouts go to two files, compared in blocks and read whole only when
+    they differ, so the gate holds no report that its commands agree on."""
+    outs = [work / f"stdout-{index}-{side}" for side in ("old", "new")]
+    (old_code, old_err), (new_code, new_err) = (run(src, directory, args, out)
+                                                for src, out in zip((old_src, new_src), outs))
+    old_out, new_out = (b"", b"") if filecmp.cmp(*outs, shallow=False) else (out.read_bytes() for out in outs)
+    for out in outs:
+        out.unlink()
+    a, b = (old_code, old_out, old_err), (new_code, new_out, new_err)
+    if a == b:
+        return [], None
+    lines, hard = compare(a, b), a[0] != b[0] or a[2] != b[2]
+    if args[0] == "search" and not hard:
+        gated, hard = search_gate(a[1], b[1])
+        lines += gated
+    return [f"{'FAIL' if hard else 'MOVE'} {directory.relative_to(work)}: lapframes {' '.join(args)}", *lines], hard
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: " + __doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -219,19 +246,13 @@ def main(argv: list[str]) -> int:
         work = Path(tmp)
         commands = gate_set(work)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            old = list(pool.map(lambda c: run(old_src, *c), commands))
-            new = list(pool.map(lambda c: run(new_src, *c), commands))
+            verdicts = list(pool.map(lambda c: judge(old_src, new_src, work, c[0], *c[1]), enumerate(commands)))
         failed = moved = 0
-        for (directory, args), a, b in zip(commands, old, new):
-            if a == b:
+        for lines, hard in verdicts:
+            if hard is None:
                 continue
-            lines, hard = compare(a, b), a[0] != b[0] or a[2] != b[2]
-            if args[0] == "search" and not hard:
-                gated, hard = search_gate(a[1], b[1])
-                lines += gated
             failed += hard
             moved += not hard
-            print(f"{'FAIL' if hard else 'MOVE'} {directory.relative_to(work)}: lapframes {' '.join(args)}")
             print("\n".join(lines))
     print(f"{len(commands)} commands: {len(commands) - failed - moved} identical, {moved} with stdout moves, "
           f"{failed} failing (a different exit code or stderr, or a search outside its gate)")
